@@ -8,11 +8,11 @@ from .cluster import ClusterAssignment, dbscan
 from .data import GenSpec, Pool, generate_pool, load_pool, read_features, \
     write_features
 from .geometry import ENTRY_COUNTER, clustering_distance, jaccard_distance, \
-    k_reciprocal_sets, knn, neighbor_sets, pairwise_cosine_distance
+    k_reciprocal_sets, knn, pairwise_cosine_distance
 from .losses import infonce, phase2_total, siamese_consistency, \
     soft_weighted_triplet
-from .metrics import CostProfile, MetricsReport, clustering_quality, \
-    compute_map_cmc, labeling_histogram, profile_clustering
+from .metrics import CostProfile, clustering_quality, compute_map_cmc, \
+    profile_clustering
 from .model import EncoderParams, OptimizerState, adam_step, augment, \
     encode, encode_batch, load_checkpoint, lr_at_epoch, save_checkpoint
 from .protobank import NoClustersError, PrototypeBank
@@ -24,10 +24,10 @@ __all__ = [
     "GenSpec", "Pool", "generate_pool", "load_pool", "read_features",
     "write_features",
     "ENTRY_COUNTER", "clustering_distance", "jaccard_distance",
-    "k_reciprocal_sets", "knn", "neighbor_sets", "pairwise_cosine_distance",
+    "k_reciprocal_sets", "knn", "pairwise_cosine_distance",
     "infonce", "phase2_total", "siamese_consistency", "soft_weighted_triplet",
-    "CostProfile", "MetricsReport", "clustering_quality", "compute_map_cmc",
-    "labeling_histogram", "profile_clustering",
+    "CostProfile", "clustering_quality", "compute_map_cmc",
+    "profile_clustering",
     "EncoderParams", "OptimizerState", "adam_step", "augment", "encode",
     "encode_batch", "load_checkpoint", "lr_at_epoch", "save_checkpoint",
     "NoClustersError", "PrototypeBank",

@@ -110,9 +110,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                        default=None)
     p.add_argument("--no-proto-renorm", dest="cfg_proto_renorm",
                    action="store_false", default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="batch-level fan-out (results are identical; kept "
-                        "for sweep scripting)")
 
 
 def _resolve_config(args) -> TrainConfig:
@@ -169,14 +166,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _train_once(pool: Pool, config: TrainConfig, regime: str):
-    return train(pool, config, regime)
-
-
 def cmd_train(args) -> int:
     pool = load_pool(args.pool)
     config = _resolve_config(args)
-    params, report = _train_once(pool, config, args.regime)
+    params, report = train(pool, config, args.regime)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     ckpt = os.path.join(out, "checkpoint.mclp")
@@ -219,7 +212,7 @@ def cmd_compare(args) -> int:
     for name, regime, ratio in schemes:
         cfg = TrainConfig.from_dict(
             {**config.to_dict(), "n_subsets": _ratio_to_subsets(ratio)})
-        _, report = _train_once(pool, cfg, regime)
+        _, report = train(pool, cfg, regime)
         per_pass = max(e.distance_entries for e in report.epochs)
         rows.append({
             "scheme": name, "ratio": ratio,

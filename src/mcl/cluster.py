@@ -1,10 +1,10 @@
 """DBScan over a precomputed distance matrix.
 
-Deterministic variant: cores are visited in ascending sample index, cluster
-ids are issued in order of first core visited, and border points join the
-cluster of the lowest-index core whose eps-neighborhood contains them.
-A point is core iff it has >= min_pts neighbors at distance <= eps, not
-counting itself.
+Deterministic variant. A point is core iff it has >= min_pts neighbors at
+distance <= eps, not counting itself. Clusters are the connected components
+of core points under the <= eps relation, numbered in ascending order of
+each cluster's lowest-index core. A non-core point joins the cluster of the
+lowest-index core whose eps-neighborhood contains it; the rest are outliers.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ class ClusterAssignment:
 
 
 def dbscan(dm: DistanceMatrix, eps: float, min_pts: int) -> ClusterAssignment:
+    # local imports: csgraph loads scipy.linalg, and importing either one at
+    # module level measurably slowed `import mcl`
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if min_pts < 1:
@@ -46,39 +51,26 @@ def dbscan(dm: DistanceMatrix, eps: float, min_pts: int) -> ClusterAssignment:
     if n == 0:
         return ClusterAssignment(labels=labels, num_clusters=0)
 
-    # neighbor counts exclude self (diagonal is 0 <= eps, subtract it)
-    counts = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        counts[lo:hi] = (d[lo:hi] <= eps).sum(axis=1) - 1
-    core = counts >= min_pts
+    # every pair within eps, row-major; the diagonal (0 <= eps) is included
+    flat = [np.flatnonzero(d[lo:lo + _CHUNK] <= eps) + lo * n
+            for lo in range(0, n, _CHUNK)]
+    rows, cols = np.divmod(np.concatenate(flat), n)
+    core = np.bincount(rows, minlength=n) - 1 >= min_pts
 
-    cluster_id = 0
-    for i in range(n):
-        if not core[i] or labels[i] != -1:
-            continue
-        labels[i] = cluster_id
-        frontier = np.array([i], dtype=np.int64)
-        while frontier.size:
-            reach = np.zeros(n, dtype=bool)
-            for lo in range(0, frontier.size, _CHUNK):
-                rows = frontier[lo:lo + _CHUNK]
-                reach |= (d[rows] <= eps).any(axis=0)
-            newly = reach & core & (labels == -1)
-            labels[newly] = cluster_id
-            frontier = np.flatnonzero(newly)
-        cluster_id += 1
-
-    # border points: non-core, within eps of some core; lowest-index core wins
+    linked = core[rows] & core[cols]
+    graph = sp.csr_matrix((np.ones(linked.sum(), dtype=bool),
+                           (rows[linked], cols[linked])), shape=(n, n))
+    _, component = connected_components(graph, directed=False)
     core_idx = np.flatnonzero(core)
-    if core_idx.size:
-        pending = np.flatnonzero(~core)
-        for lo in range(0, pending.size, _CHUNK):
-            rows = pending[lo:lo + _CHUNK]
-            near = d[np.ix_(rows, core_idx)] <= eps
-            has = near.any(axis=1)
-            first = near.argmax(axis=1)
-            hit = rows[has]
-            labels[hit] = labels[core_idx[first[has]]]
+    _, first, inverse = np.unique(component[core_idx], return_index=True,
+                                  return_inverse=True)
+    # scipy's component numbering is not the contract: rank by first core
+    labels[core_idx] = np.argsort(np.argsort(first))[inverse]
 
-    return ClusterAssignment(labels=labels, num_clusters=cluster_id)
+    # border points: the lowest-index core within eps wins
+    border = ~core[rows] & core[cols]
+    nearest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(nearest, rows[border], cols[border])
+    hit = np.flatnonzero(nearest < n)
+    labels[hit] = labels[nearest[hit]]
+    return ClusterAssignment(labels=labels, num_clusters=first.size)

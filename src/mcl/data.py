@@ -50,13 +50,6 @@ class DimensionMismatchError(FeatureFileError):
 
 
 @dataclass(frozen=True)
-class RawSample:
-    sample_id: int
-    features: np.ndarray  # (d_raw,) float32
-    identity: int
-
-
-@dataclass(frozen=True)
 class GenSpec:
     num_identities: int
     samples_per_identity: int
@@ -124,17 +117,6 @@ class Pool:
     @property
     def num_identities(self) -> int:
         return int(self.identities.max()) + 1 if len(self) else 1
-
-    @property
-    def samples(self) -> list[RawSample]:
-        return [self.sample(i) for i in range(len(self))]
-
-    def sample(self, i: int) -> RawSample:
-        return RawSample(
-            sample_id=int(self.sample_ids[i]),
-            features=self.features[i],
-            identity=int(self.identities[i]),
-        )
 
     def subset(self, positions: np.ndarray) -> "Pool":
         return Pool(

@@ -9,7 +9,7 @@ quadratic memory scaling of a clustering pass.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,23 +49,6 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass
-class NeighborSets:
-    """kNN lists and the mutual (k-reciprocal) sets derived from them."""
-
-    k: int
-    knn: np.ndarray  # (n, k) int64, ascending distance, ties by lower index
-    reciprocal: sp.csr_matrix = field(repr=False)  # (n, n) bool adjacency
-
-    @property
-    def n(self) -> int:
-        return self.knn.shape[0]
-
-    def reciprocal_set(self, i: int) -> np.ndarray:
-        row = self.reciprocal.getrow(i)
-        return np.sort(row.indices).astype(np.int64)
 
 
 def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
@@ -139,20 +122,17 @@ def k_reciprocal_sets(knn_idx: np.ndarray) -> sp.csr_matrix:
     return r
 
 
-def neighbor_sets(dm: DistanceMatrix, k: int) -> NeighborSets:
-    lists = knn(dm, k)
-    return NeighborSets(k=k, knn=lists, reciprocal=k_reciprocal_sets(lists))
-
-
-def jaccard_distance(nbrs: NeighborSets, include_self: bool = True) -> DistanceMatrix:
+def jaccard_distance(reciprocal: sp.csr_matrix,
+                     include_self: bool = True) -> DistanceMatrix:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
 
-    S(i) is reciprocal(i), plus {i} itself when include_self (the default).
-    Pairs of empty sets get distance 1; the diagonal is 0. Intersections are
-    accumulated sparsely (sets are tiny), the result matrix is dense.
+    S(i) is row i of the `k_reciprocal_sets` adjacency, plus {i} itself when
+    include_self (the default). Pairs of empty sets get distance 1; the
+    diagonal is 0. Intersections are accumulated sparsely (sets are tiny),
+    the result matrix is dense.
     """
-    n = nbrs.n
-    s = nbrs.reciprocal.astype(np.int64)
+    n = reciprocal.shape[0]
+    s = reciprocal.astype(np.int64)
     if include_self:
         s = (s + sp.identity(n, dtype=np.int64, format="csr")).tocsr()
         s.data[:] = 1
@@ -177,5 +157,4 @@ def clustering_distance(embeddings: np.ndarray, k: int,
     cos = pairwise_cosine_distance(embeddings)
     lists = knn(cos, k)
     del cos
-    nbrs = NeighborSets(k=k, knn=lists, reciprocal=k_reciprocal_sets(lists))
-    return jaccard_distance(nbrs, include_self=include_self)
+    return jaccard_distance(k_reciprocal_sets(lists), include_self=include_self)

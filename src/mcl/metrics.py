@@ -12,35 +12,13 @@ per pass), the analytic byte model (entries x 8), and median wall time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .cluster import dbscan
 from .geometry import ENTRY_COUNTER, clustering_distance
-
-
-@dataclass
-class MetricsReport:
-    mean_ap: float
-    cmc: np.ndarray
-    pairwise_precision: float = float("nan")
-    pairwise_recall: float = float("nan")
-    pairwise_f: float = float("nan")
-    ari: float = float("nan")
-    label_correct_fraction: np.ndarray = field(default_factory=lambda: np.array([]))
-
-    def to_dict(self) -> dict:
-        return {
-            "mean_ap": self.mean_ap,
-            "cmc": [float(x) for x in self.cmc],
-            "pairwise_precision": self.pairwise_precision,
-            "pairwise_recall": self.pairwise_recall,
-            "pairwise_f": self.pairwise_f,
-            "ari": self.ari,
-            "label_correct_fraction": [float(x) for x in self.label_correct_fraction],
-        }
 
 
 @dataclass
@@ -150,12 +128,6 @@ def labeling_correct_fraction(labels: np.ndarray, ground_truth: np.ndarray) -> f
     if same_pred == 0:
         return float("nan")
     return float(_comb2(c.data).sum() / same_pred)
-
-
-def labeling_histogram(per_epoch_labels, ground_truth: np.ndarray) -> np.ndarray:
-    """Correct-pair fraction per epoch, one entry per recorded assignment."""
-    return np.array([labeling_correct_fraction(lab, ground_truth)
-                     for lab in per_epoch_labels])
 
 
 def profile_clustering(embeddings: np.ndarray, k: int = 30, eps: float = 0.7,

@@ -99,11 +99,12 @@ def encode_forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, En
         h = None
         u = x @ params.W2.T + params.b2
     norms = np.linalg.norm(u, axis=1)
+    # a finite norm >= the floor makes every row of v finite and unit-norm
+    if not np.isfinite(norms).all():
+        raise FloatingPointError("non-finite encoder output (diverged weights)")
     if norms.min(initial=np.inf) < NORM_FLOOR:
         raise DegenerateEmbeddingError("pre-normalization norm below 1e-12")
     v = u / norms[:, None]
-    # per-batch unit-norm invariant
-    assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-6
     return v, EncodeCache(x=x, h=h, v=v, norms=norms)
 
 
@@ -270,10 +271,18 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 def load_checkpoint(path) -> EncoderParams:
     sections = read_sections(path)
-    known = {"W1", "b1", "W2", "b2"}
-    if not {"W2", "b2"} <= set(sections) or not set(sections) <= known:
+    if set(sections) not in ({"W2", "b2"}, {"W1", "b1", "W2", "b2"}):
         raise FeatureFileError(f"{path}: unexpected checkpoint sections {sorted(sections)}")
-    return EncoderParams(
+    params = EncoderParams(
         W1=sections.get("W1"), b1=sections.get("b1"),
         W2=sections["W2"], b2=sections["b2"],
     )
+    # each layer is a (out, in) weight and an (out,) bias; out feeds the next in
+    tensors = [t for _, t in params.tensors()]
+    width = None
+    for w, b in zip(tensors[::2], tensors[1::2]):
+        if w.ndim != 2 or b.shape != w.shape[:1] or width not in (None, w.shape[1]):
+            shapes = {name: t.shape for name, t in sections.items()}
+            raise FeatureFileError(f"{path}: checkpoint shapes do not chain: {shapes}")
+        width = w.shape[0]
+    return params

@@ -78,6 +78,13 @@ class TrainConfig:
     proto_renorm: bool = True
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.n_subsets < 1:
             raise ValueError("n_subsets must be >= 1")
         if self.epochs < 1:
@@ -143,20 +150,16 @@ class EpochPlan:
 
     permutation: np.ndarray
     n_subsets: int
-    epoch: int
-    seed: int
 
     def subsets(self) -> list[np.ndarray]:
         return np.array_split(self.permutation, self.n_subsets)
 
 
-def epoch_split(n_samples: int, n_subsets: int, epoch_seed: int,
-                epoch: int = 0) -> EpochPlan:
+def epoch_split(n_samples: int, n_subsets: int, epoch_seed: int) -> EpochPlan:
     if n_subsets < 1 or n_subsets > n_samples:
         raise ValueError(f"need 1 <= n_subsets <= {n_samples}, got {n_subsets}")
     perm = np.random.default_rng(epoch_seed).permutation(n_samples)
-    return EpochPlan(permutation=perm, n_subsets=n_subsets, epoch=epoch,
-                     seed=epoch_seed)
+    return EpochPlan(permutation=perm, n_subsets=n_subsets)
 
 
 def pk_sample(labels: np.ndarray, p: int, i: int,
@@ -466,7 +469,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
     q_ids = pool.identities[query_pos]
     g_ids = pool.identities[gallery_pos]
 
-    fixed_plan = epoch_split(n, n_subsets, config.seed, epoch=0)
+    fixed_plan = epoch_split(n, n_subsets, config.seed)
     stage_lengths = _naive_stage_lengths(config.epochs, n_subsets)
     stage_of_epoch = np.repeat(np.arange(n_subsets), stage_lengths)
 
@@ -484,7 +487,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
             rest: list[np.ndarray] = []
         else:
             if regime == "mcl" and not config.fixed_split:
-                plan = epoch_split(n, n_subsets, config.seed + epoch, epoch=epoch)
+                plan = epoch_split(n, n_subsets, config.seed + epoch)
             else:
                 plan = fixed_plan
             subsets = plan.subsets()
@@ -503,11 +506,12 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
                 # offset past the phase-1 cluster ids so the snapshot spaces
                 # stay disjoint
                 labels_full[p2.positions] = p2.hardened + bank.num_classes
+            # the epoch's last update can be the one that diverges
+            qv = encode_batch(params, q_feat)
+            gv = encode_batch(params, g_feat)
         except FloatingPointError as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
 
-        qv = encode_batch(params, q_feat)
-        gv = encode_batch(params, g_feat)
         mean_ap, cmc = compute_map_cmc(qv, gv, q_ids, g_ids)
         record = EpochRecord(
             epoch=epoch,

@@ -8,7 +8,7 @@ import pytest
 
 from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from mcl.data import load_pool, read_features, write_features
-from mcl.model import load_checkpoint
+from mcl.model import load_checkpoint, write_sections
 from mcl.trainer import NumericError
 
 
@@ -118,6 +118,17 @@ class TestTrain:
         code = main(["train", pool_file, "-o", str(tmp_path / "r")]
                     + TRAIN_FLAGS)
         assert code == EXIT_NUMERIC
+
+    def test_real_divergence_exit_code(self, pool_file, tmp_path):
+        code = main(["train", pool_file, "-o", str(tmp_path / "r"),
+                     "--lr", "1e300"] + TRAIN_FLAGS)
+        assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("lr", ["nan", "-1"])
+    def test_bad_lr_is_data_error(self, pool_file, tmp_path, lr):
+        code = main(["train", pool_file, "-o", str(tmp_path / "r"),
+                     "--lr", lr] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
 
     def test_config_file_with_flag_overrides(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -243,4 +254,11 @@ class TestEvalAndDump:
     def test_missing_checkpoint_is_data_error(self, pool_file, tmp_path):
         code = main(["eval", pool_file, "--checkpoint",
                      str(tmp_path / "none.mclp")])
+        assert code == EXIT_DATA
+
+    def test_malformed_checkpoint_is_data_error(self, pool_file, tmp_path):
+        ckpt = tmp_path / "w1-only.mclp"
+        write_sections(ckpt, [("W1", np.zeros((4, 8))), ("W2", np.eye(6, 4)),
+                              ("b2", np.zeros(6))])
+        code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA

@@ -6,7 +6,7 @@ import pytest
 from mcl.cluster import ClusterAssignment, dbscan
 from mcl.geometry import DistanceMatrix, clustering_distance
 
-from .oracles import dbscan_reference, partitions_match
+from .oracles import dbscan_reference
 
 
 def _random_metric(rng, n):
@@ -24,14 +24,27 @@ def _dm(d):
 class TestAgainstReference:
     def test_random_instances(self):
         rng = np.random.default_rng(42)
+        cases = []
         for trial in range(60):
             n = int(rng.integers(5, 90))
             d = _random_metric(rng, n)
             eps = float(rng.uniform(0.05, 0.6))
             min_pts = int(rng.integers(1, 8))
+            cases.append((d, eps, min_pts))
+        # edge inputs: n in {0, 1}, eps 0, and rounded matrices whose exact
+        # ties sit on the eps boundary
+        cases += [(_random_metric(rng, n), eps, 1)
+                  for n in (0, 1) for eps in (0.0, 0.5)]
+        for trial in range(30):
+            n = int(rng.integers(5, 90))
+            d = np.round(_random_metric(rng, n) * 4.0) / 4.0
+            eps = float(rng.choice([0.0, 0.25, 0.5]))
+            cases.append((d, eps, int(rng.integers(1, 8))))
+        for d, eps, min_pts in cases:
             got = dbscan(_dm(d), eps=eps, min_pts=min_pts)
             want = dbscan_reference(d, eps, min_pts)
-            assert partitions_match(got.labels, want), (n, eps, min_pts)
+            assert np.array_equal(got.labels, want), (d.shape[0], eps, min_pts)
+            assert got.num_clusters == want.max(initial=-1) + 1
 
     def test_labels_match_reference_exactly(self):
         # ids are issued in first-core order on both sides, so the match
@@ -51,8 +64,10 @@ class TestAgainstReference:
             e = rng.standard_normal((n, 8))
             e /= np.linalg.norm(e, axis=1, keepdims=True)
             dm = clustering_distance(e, k=min(10, n - 1))
-            got = dbscan(dm, eps=0.6, min_pts=4)
-            assert partitions_match(got.labels, dbscan_reference(dm.entries, 0.6, 4))
+            for eps in (0.0, 0.6):
+                got = dbscan(dm, eps=eps, min_pts=4)
+                assert np.array_equal(got.labels,
+                                      dbscan_reference(dm.entries, eps, 4))
 
 
 class TestStructure:
@@ -131,4 +146,4 @@ class TestStructure:
         dm = clustering_distance(e, k=10)
         got = dbscan(dm, eps=0.7, min_pts=4)
         want = dbscan_reference(dm.entries, 0.7, 4)
-        assert partitions_match(got.labels, want)
+        assert np.array_equal(got.labels, want)

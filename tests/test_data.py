@@ -105,11 +105,6 @@ class TestPool:
         assert np.array_equal(sub.sample_ids, [5, 1, 10])
         assert np.array_equal(sub.features, small_pool.features[[5, 1, 10]])
 
-    def test_sample_accessor(self, small_pool):
-        s = small_pool.sample(7)
-        assert s.sample_id == 7
-        assert s.identity == int(small_pool.identities[7])
-
 
 class TestMCLFRoundTrip:
     @given(

@@ -10,7 +10,6 @@ from mcl.geometry import (
     jaccard_distance,
     k_reciprocal_sets,
     knn,
-    neighbor_sets,
     pairwise_cosine_distance,
 )
 
@@ -94,13 +93,6 @@ class TestReciprocal:
         r = k_reciprocal_sets(knn(dm, 4)).toarray()
         assert np.array_equal(r, r.T)
 
-    def test_reciprocal_set_accessor(self, rng):
-        dm = pairwise_cosine_distance(_unit(rng, 20, 5))
-        nbrs = neighbor_sets(dm, 4)
-        dense = nbrs.reciprocal.toarray().astype(bool)
-        for i in range(20):
-            assert np.array_equal(nbrs.reciprocal_set(i), np.flatnonzero(dense[i]))
-
 
 class TestJaccard:
     def test_matches_set_oracle(self, rng):
@@ -109,15 +101,15 @@ class TestJaccard:
                 n = int(rng.integers(6, 40))
                 k = int(rng.integers(1, min(10, n - 1)))
                 dm = pairwise_cosine_distance(_unit(rng, n, 5))
-                nbrs = neighbor_sets(dm, k)
-                got = jaccard_distance(nbrs, include_self=include_self)
+                recip = k_reciprocal_sets(knn(dm, k))
+                got = jaccard_distance(recip, include_self=include_self)
                 want = jaccard_from_sets(
-                    nbrs.reciprocal.toarray().astype(bool), include_self)
+                    recip.toarray().astype(bool), include_self)
                 assert np.allclose(got.entries, want, atol=1e-12)
 
     def test_range_and_diagonal(self, rng):
         dm = pairwise_cosine_distance(_unit(rng, 30, 6))
-        j = jaccard_distance(neighbor_sets(dm, 5))
+        j = jaccard_distance(k_reciprocal_sets(knn(dm, 5)))
         assert np.all(j.entries >= 0.0) and np.all(j.entries <= 1.0)
         assert np.all(np.diag(j.entries) == 0.0)
         assert np.array_equal(j.entries, j.entries.T)
@@ -133,7 +125,8 @@ class TestPipeline:
     def test_equals_staged_computation(self, rng):
         e = _unit(rng, 35, 6)
         got = clustering_distance(e, k=6)
-        want = jaccard_distance(neighbor_sets(pairwise_cosine_distance(e), 6))
+        want = jaccard_distance(
+            k_reciprocal_sets(knn(pairwise_cosine_distance(e), 6)))
         assert np.array_equal(got.entries, want.entries)
 
     @given(n=st.integers(5, 25), k=st.integers(1, 6), seed=st.integers(0, 999))

@@ -9,7 +9,6 @@ from mcl.metrics import (
     clustering_quality,
     compute_map_cmc,
     labeling_correct_fraction,
-    labeling_histogram,
     profile_clustering,
 )
 
@@ -145,14 +144,6 @@ class TestLabelingFraction:
         labels = np.array([3, 3, 9, 9])
         true = np.array([0, 0, 1, 1])
         assert labeling_correct_fraction(labels, true) == 1.0
-
-    def test_histogram_stacks_epochs(self):
-        true = np.array([0, 0, 1])
-        seq = [np.array([5, 5, 5]), np.array([5, 5, 6])]
-        hist = labeling_histogram(seq, true)
-        assert hist.shape == (2,)
-        assert hist[0] == pytest.approx(1 / 3)
-        assert hist[1] == pytest.approx(1.0)
 
     @given(seed=st.integers(0, 9999))
     @settings(max_examples=30, deadline=None)

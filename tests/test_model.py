@@ -269,6 +269,20 @@ class TestCheckpoint:
         with pytest.raises(FeatureFileError):
             load_checkpoint(path)
 
+    def test_w1_without_b1_rejected(self, tmp_path):
+        path = tmp_path / "x.mclp"
+        write_sections(path, [("W1", np.zeros((3, 4))), ("W2", np.zeros((2, 3))),
+                              ("b2", np.zeros(2))])
+        with pytest.raises(FeatureFileError):
+            load_checkpoint(path)
+
+    def test_shapes_must_chain(self, tmp_path):
+        path = tmp_path / "x.mclp"
+        write_sections(path, [("W1", np.zeros((3, 4))), ("b1", np.zeros(3)),
+                              ("W2", np.zeros((2, 5))), ("b2", np.zeros(2))])
+        with pytest.raises(FeatureFileError):
+            load_checkpoint(path)
+
     @given(seed=st.integers(0, 10_000), d_h=st.sampled_from([0, 3, 8]))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_bitwise_property(self, tmp_path_factory, seed, d_h):

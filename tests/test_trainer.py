@@ -48,6 +48,9 @@ class TestTrainConfig:
         ("tau", 0.0), ("margin", -0.1), ("eps", -1.0), ("min_pts", 0),
         ("k_neighbors", 0), ("min_cluster_fraction", 1.5),
         ("holdout_fraction", 1.0), ("d_emb", 0), ("d_hidden", -1),
+        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+        ("weight_decay", -1e-4), ("lambda_tri", float("inf")),
+        ("tau", float("nan")),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError):
