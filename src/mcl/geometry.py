@@ -1,14 +1,14 @@
 """Pairwise distances, kNN, k-reciprocal sets, and Jaccard distance.
 
 Everything here is the substrate DBScan runs on. Distance matrices are dense
-float64 and symmetric; every construction of an n x n matrix adds n^2 to the
-module's allocation counter, which the cost profiler reads to reproduce the
-quadratic memory scaling of a clustering pass.
+float64 and symmetric. Every n x n set of distance entries evaluated adds n^2
+to the module's entry counter, whether or not the entries are ever stored
+together; the cost profiler reads it to reproduce the quadratic cost scaling
+of a clustering pass.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,24 +18,20 @@ _ROW_CHUNK = 1024  # bound temporary buffers when n is large
 
 
 class EntryCounter:
-    """Thread-safe count of allocated pairwise distance entries."""
+    """Running count of the pairwise distance entries evaluated."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._total = 0
 
     def add(self, entries: int) -> None:
-        with self._lock:
-            self._total += int(entries)
+        self._total += int(entries)
 
     @property
     def total(self) -> int:
-        with self._lock:
-            return self._total
+        return self._total
 
     def reset(self) -> None:
-        with self._lock:
-            self._total = 0
+        self._total = 0
 
 
 ENTRY_COUNTER = EntryCounter()
@@ -51,8 +47,8 @@ class DistanceMatrix:
         return self.entries.shape[0]
 
 
-def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
-    """1 - dot(e_i, e_j) over unit rows. Rows must be unit-norm within 1e-6."""
+def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
+    """Embeddings as float64 rows, checked finite and unit-norm within 1e-6."""
     e = np.asarray(embeddings, dtype=np.float64)
     if e.ndim != 2:
         raise ValueError("embeddings must be 2-D")
@@ -61,6 +57,13 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
     norms = np.linalg.norm(e, axis=1)
     if np.abs(norms - 1.0).max(initial=0.0) > 1e-6:
         raise ValueError("embedding rows must be unit-norm within 1e-6")
+    return e
+
+
+def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
+    """1 - dot(e_i, e_j) over unit rows. Rows must be unit-norm within 1e-6."""
+    e = _unit_rows(embeddings)
+    # one symmetric product: row blocks of a gemm are not exactly symmetric
     d = e @ e.T
     # in place: a second n x n temporary would double peak memory
     d *= -1.0
@@ -70,14 +73,15 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(entries=d, kind="cosine")
 
 
-def knn(dm: DistanceMatrix, k: int) -> np.ndarray:
-    """Indices of the k nearest neighbors per row, self excluded.
+def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
+    """kNN lists over n points, one `_ROW_CHUNK` block of rows at a time.
 
+    `distance_rows(lo, hi)` returns a fresh (hi - lo, n) float64 block of the
+    distances from rows lo..hi-1 to every point; it is overwritten here.
     Ordered by ascending distance; exact ties resolved by lower index. Uses
     argpartition with a tie-widening fallback so the rule holds even when
     many entries at the cut boundary are equal.
     """
-    n = dm.n
     if k >= n:
         raise ValueError(f"k={k} must be < n={n}")
     if k < 1:
@@ -88,7 +92,7 @@ def knn(dm: DistanceMatrix, k: int) -> np.ndarray:
     ar = np.arange(n)
     for lo in range(0, n, _ROW_CHUNK):
         hi = min(lo + _ROW_CHUNK, n)
-        block = dm.entries[lo:hi].copy()
+        block = distance_rows(lo, hi)
         block[ar[lo:hi] - lo, ar[lo:hi]] = np.inf  # exclude self
         if m >= n - 1:
             cand = np.broadcast_to(ar, block.shape)
@@ -107,6 +111,14 @@ def knn(dm: DistanceMatrix, k: int) -> np.ndarray:
                 full = np.lexsort((ar, row))
                 out[lo + r] = full[:k]
     return out
+
+
+def knn(dm: DistanceMatrix, k: int) -> np.ndarray:
+    """Indices of the k nearest neighbors per row, self excluded.
+
+    Ordered by ascending distance; exact ties resolved by lower index.
+    """
+    return _knn_by_blocks(dm.n, k, lambda lo, hi: dm.entries[lo:hi].copy())
 
 
 def k_reciprocal_sets(knn_idx: np.ndarray) -> sp.csr_matrix:
@@ -151,10 +163,21 @@ def clustering_distance(embeddings: np.ndarray, k: int,
                         include_self: bool = True) -> DistanceMatrix:
     """Full cosine -> kNN -> k-reciprocal -> Jaccard pipeline.
 
-    Frees the intermediate cosine matrix before building the Jaccard one, so
-    peak memory stays at a single n^2 float64 matrix.
+    Never builds the n x n cosine matrix: cosine distances are computed one
+    `_ROW_CHUNK` block of rows at a time and reduced to kNN lists at once, so
+    the Jaccard result is the only n^2 float64 matrix of the pass. The counter
+    still gets n^2 for the cosine entries evaluated. The kNN selection is
+    `knn`'s. A row block's product can round a dot product differently from
+    `pairwise_cosine_distance`'s symmetric one in the last bits, which could
+    only reorder neighbours whose distances agree to those bits.
     """
-    cos = pairwise_cosine_distance(embeddings)
-    lists = knn(cos, k)
-    del cos
+    e = _unit_rows(embeddings)
+    n = e.shape[0]
+
+    def cosine_rows(lo: int, hi: int) -> np.ndarray:
+        block = e[lo:hi] @ e.T
+        return np.subtract(1.0, block, out=block)  # bitwise -x + 1
+
+    lists = _knn_by_blocks(n, k, cosine_rows)
+    ENTRY_COUNTER.add(n * n)
     return jaccard_distance(k_reciprocal_sets(lists), include_self=include_self)

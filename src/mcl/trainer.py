@@ -19,7 +19,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -78,9 +78,17 @@ class TrainConfig:
     proto_renorm: bool = True
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        # a field's default fixes its type; a float field also takes an int,
+        # and a bool (an int subclass) passes only for a bool field
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            accepted = (int, float) if kind is float else kind
+            if (isinstance(value, bool) != (kind is bool)
+                    or not isinstance(value, accepted)):
+                raise ValueError(
+                    f"{f.name} must be {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         if self.weight_decay < 0:
@@ -102,7 +110,11 @@ class TrainConfig:
             raise ValueError("tau must be > 0")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
-        if self.eps < 0 or self.min_pts < 1 or self.k_neighbors < 1:
+        if not 0.0 <= self.eps < 1.0:
+            # Jaccard distances lie in [0, 1]: eps >= 1 makes every pair a
+            # neighbour, one cluster, and an n^2 pair list in dbscan
+            raise ValueError("eps must be in [0, 1)")
+        if self.min_pts < 1 or self.k_neighbors < 1:
             raise ValueError("invalid clustering parameters")
         if not 0.0 <= self.min_cluster_fraction <= 1.0:
             raise ValueError("min_cluster_fraction must be in [0, 1]")

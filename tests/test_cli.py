@@ -111,6 +111,18 @@ class TestTrain:
                      "--epochs", "0"])
         assert code == EXIT_DATA
 
+    def test_eps_at_least_one_is_data_error(self, pool_file, tmp_path):
+        code = main(["train", pool_file, "-o", str(tmp_path / "r"),
+                     "--eps", "1.0"] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+
+    def test_config_file_wrong_type_is_data_error(self, pool_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lr": "abc"}))
+        code = main(["train", pool_file, "--config", str(cfg),
+                     "-o", str(tmp_path / "r")] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+
     def test_numeric_failure_exit_code(self, pool_file, monkeypatch, tmp_path):
         def boom(pool, config, regime):
             raise NumericError("synthetic")

@@ -1,9 +1,12 @@
 """Distance pipeline against brute-force references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcl.data import GenSpec, generate_pool
 from mcl.geometry import (
     ENTRY_COUNTER,
     clustering_distance,
@@ -123,11 +126,45 @@ class TestPipeline:
         assert ENTRY_COUNTER.total == 2 * 50 * 50
 
     def test_equals_staged_computation(self, rng):
-        e = _unit(rng, 35, 6)
-        got = clustering_distance(e, k=6)
-        want = jaccard_distance(
-            k_reciprocal_sets(knn(pairwise_cosine_distance(e), 6)))
-        assert np.array_equal(got.entries, want.entries)
+        # n = 1030 and 2100 span two and three row blocks; drawing rows with
+        # replacement duplicates many of them, so exact ties cross blocks
+        for n, k in ((35, 6), (1030, 1), (1030, 30), (2100, 30)):
+            e = _unit(rng, n, 6)
+            if n > 35:
+                e = e[rng.integers(0, n // 3, size=n)]
+            got = clustering_distance(e, k=k)
+            want = jaccard_distance(
+                k_reciprocal_sets(knn(pairwise_cosine_distance(e), k)))
+            assert np.array_equal(got.entries, want.entries)
+
+    def test_rejects_invalid_input(self, rng):
+        e = _unit(rng, 8, 4)
+        with pytest.raises(ValueError):
+            clustering_distance(e * 3.0, k=3)
+        bad = e.copy()
+        bad[5, 2] = np.inf
+        with pytest.raises(ValueError):
+            clustering_distance(bad, k=3)
+        with pytest.raises(ValueError):
+            clustering_distance(e, k=8)
+        with pytest.raises(ValueError):
+            clustering_distance(e, k=0)
+
+    def test_peak_memory_is_one_matrix_plus_a_row_block(self):
+        # the Jaccard result is the only n x n matrix; a row block of cosine
+        # distances and its argpartition index add about 2 * 1024 / n of one
+        pool = generate_pool(GenSpec(num_identities=100, samples_per_identity=30,
+                                     d_raw=64, intra_class_sigma=0.15, seed=1))
+        x = pool.features.astype(np.float64)
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        n = x.shape[0]
+        tracemalloc.start()
+        try:
+            clustering_distance(x, k=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     @given(n=st.integers(5, 25), k=st.integers(1, 6), seed=st.integers(0, 999))
     @settings(max_examples=30, deadline=None)

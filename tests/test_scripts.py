@@ -1,0 +1,39 @@
+"""Smoke runs of the scripts under scripts/ at tiny sizes."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_profile_scaling(tmp_path):
+    out = tmp_path / "scaling.csv"
+    done = _run("profile_scaling.py", "--sizes", "300", "--fractions",
+                "1.0,0.5", "--repeats", "1", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["fraction"]) for r in rows] == [1.0, 0.5]
+    assert float(rows[1]["entry_ratio"]) == 0.25
+
+
+def test_sweep_dbscan(tmp_path):
+    out = tmp_path / "sweep.csv"
+    done = _run("sweep_dbscan.py", "--ids", "10", "--per-id", "8", "--k", "5",
+                "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 6 * 3  # the default eps x min_pts grid

@@ -42,6 +42,9 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         TrainConfig()
 
+    def test_float_fields_take_ints(self):
+        assert TrainConfig(lr=1, eps=0).lr == 1
+
     @pytest.mark.parametrize("field,value", [
         ("n_subsets", 0), ("epochs", 0), ("warmup_epochs", 60),
         ("p_identities", 0), ("i2_instances", 3), ("momentum_m", 1.2),
@@ -50,7 +53,10 @@ class TestTrainConfig:
         ("holdout_fraction", 1.0), ("d_emb", 0), ("d_hidden", -1),
         ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
         ("weight_decay", -1e-4), ("lambda_tri", float("inf")),
-        ("tau", float("nan")),
+        ("tau", float("nan")), ("eps", 1.0), ("eps", 1.5),
+        ("lr", "abc"), ("lr", True), ("margin", None), ("epochs", 30.0),
+        ("seed", True), ("k_neighbors", "30"), ("fixed_split", 1),
+        ("proto_renorm", "yes"),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError):
