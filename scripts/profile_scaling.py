@@ -3,7 +3,9 @@
 For each pool size n and fraction r, profiles one full distance+DBScan pass
 over the r*n subset and reports pairwise entries, peak bytes, and wall time
 relative to the r=1 pass. Entries scale exactly as r^2 by construction; wall
-time lands close to that but picks up fixed overheads at small n.
+time lands close to that but picks up fixed overheads at small n. Each pass
+spreads its row blocks over one thread per CPU the process may run on, so the
+first line printed is that worker count; `taskset -c 0` pins it to one.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import sys
 
 import numpy as np
 
+from mcl.geometry import _worker_count
 from mcl.metrics import profile_clustering
 
 
@@ -30,6 +33,8 @@ def main(argv=None):
     fractions = sorted({float(f) for f in args.fractions.split(",")},
                        reverse=True)
     rng = np.random.default_rng(args.seed)
+    print(f"workers {_worker_count()} (threads per clustering pass)",
+          flush=True)
 
     rows = []
     for n in sizes:

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,27 +113,27 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_config(args) -> TrainConfig:
-    base: dict = {}
+    file_fields: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            base = json.load(fh)
-        if "lambda" in base:
-            base["lambda_tri"] = base.pop("lambda")
+            file_fields = json.load(fh)
+    config = TrainConfig.from_dict(file_fields)
+    flags: dict = {}
     for _, dest, _typ in _CONFIG_FLAGS:
         val = getattr(args, f"cfg_{dest}", None)
         if val is not None:
-            base[dest] = val
+            flags[dest] = val
     for _, dest in _ABLATION_FLAGS + [("", "proto_renorm")]:
         val = getattr(args, f"cfg_{dest}", None)
         if val is not None:
-            base[dest] = val
+            flags[dest] = val
     if getattr(args, "split_ratio", None) is not None:
-        base["n_subsets"] = _ratio_to_subsets(args.split_ratio)
+        flags["n_subsets"] = _ratio_to_subsets(args.split_ratio)
     if args.seed is not None:
-        base["seed"] = args.seed
-    elif "seed" not in base and os.environ.get("MCL_SEED"):
-        base["seed"] = int(os.environ["MCL_SEED"])
-    return TrainConfig.from_dict(base)
+        flags["seed"] = args.seed
+    elif "seed" not in file_fields and os.environ.get("MCL_SEED"):
+        flags["seed"] = int(os.environ["MCL_SEED"])
+    return replace(config, **flags)
 
 
 def _write_metrics_csv(path, report) -> None:

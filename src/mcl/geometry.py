@@ -5,16 +5,52 @@ float64 and symmetric. Every n x n set of distance entries evaluated adds n^2
 to the module's entry counter, whether or not the entries are ever stored
 together; the cost profiler reads it to reproduce the quadratic cost scaling
 of a clustering pass.
+
+The row blocks of a clustering pass (fused cosine + kNN, and the Jaccard fill)
+run on up to one worker thread per CPU in the process's affinity mask; the
+numpy calls they make release the GIL, and each block writes only its own
+rows, so the results are bitwise the same for any worker count. Each worker
+holds about `_ROW_BLOCK` x n x 16 bytes in flight.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-_ROW_CHUNK = 1024  # bound temporary buffers when n is large
+# rows per block. Keep it small: glibc keeps each worker thread's freed blocks
+# in that thread's own malloc arena, so 256 rows already cost 7 MiB more peak
+# RSS than 128 on a benchmark training run, for no measurable speed
+_ROW_BLOCK = 128
+
+
+def _worker_count() -> int:
+    """CPUs in the process's affinity mask, or all CPUs where it is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_row_blocks(fn, n: int) -> list:
+    """`fn(lo, hi)` for each `_ROW_BLOCK` block of n rows, in block order.
+
+    Runs on one worker thread per CPU, but every worker gets at least two
+    blocks: with fewer, thread start-up and GIL hand-offs made passes at
+    n = 150 and 300 up to 50% slower than running them in the calling
+    thread. An exception raised in any block re-raises here.
+    """
+    los = range(0, n, _ROW_BLOCK)
+    his = [min(lo + _ROW_BLOCK, n) for lo in los]
+    workers = min(_worker_count(), len(los) // 2)
+    if workers <= 1:
+        return list(map(fn, los, his))
+    # imported here, as dbscan imports csgraph, so `import mcl` stays cheap
+    from concurrent.futures.thread import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, los, his))
 
 
 class EntryCounter:
@@ -74,10 +110,11 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
 
 
 def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
-    """kNN lists over n points, one `_ROW_CHUNK` block of rows at a time.
+    """kNN lists over n points, selected in `_map_row_blocks` row blocks.
 
     `distance_rows(lo, hi)` returns a fresh (hi - lo, n) float64 block of the
-    distances from rows lo..hi-1 to every point; it is overwritten here.
+    distances from rows lo..hi-1 to every point; it is overwritten here. It is
+    called on worker threads, so it must not touch shared state.
     Ordered by ascending distance; exact ties resolved by lower index. Uses
     argpartition with a tie-widening fallback so the rule holds even when
     many entries at the cut boundary are equal.
@@ -90,8 +127,8 @@ def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
     pad = min(32, n - 1 - k)
     m = k + pad
     ar = np.arange(n)
-    for lo in range(0, n, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, n)
+
+    def select(lo: int, hi: int) -> None:
         block = distance_rows(lo, hi)
         block[ar[lo:hi] - lo, ar[lo:hi]] = np.inf  # exclude self
         if m >= n - 1:
@@ -107,9 +144,9 @@ def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
             # a tie spilling past the padded candidate set needs an exact redo
             spill = cvals[:, k - 1] == cvals[:, m]
             for r in np.flatnonzero(spill):
-                row = block[r]
-                full = np.lexsort((ar, row))
-                out[lo + r] = full[:k]
+                out[lo + r] = np.lexsort((ar, block[r]))[:k]
+
+    _map_row_blocks(select, n)
     return out
 
 
@@ -140,20 +177,27 @@ def jaccard_distance(reciprocal: sp.csr_matrix,
 
     S(i) is row i of the `k_reciprocal_sets` adjacency, plus {i} itself when
     include_self (the default). Pairs of empty sets get distance 1; the
-    diagonal is 0. Intersections are accumulated sparsely (sets are tiny),
-    the result matrix is dense.
+    diagonal is 0. Intersections are one sparse product (sets are tiny); the
+    dense result is filled from its CSR rows in `_map_row_blocks` row ranges.
     """
     n = reciprocal.shape[0]
-    s = reciprocal.astype(np.int64)
+    s = reciprocal.astype(np.int32)  # counts <= n; halves the product's data
     if include_self:
-        s = (s + sp.identity(n, dtype=np.int64, format="csr")).tocsr()
+        s = (s + sp.identity(n, dtype=np.int32, format="csr")).tocsr()
         s.data[:] = 1
     sizes = np.asarray(s.getnnz(axis=1), dtype=np.int64)
-    inter = (s @ s.T).tocoo()
-    d = np.ones((n, n), dtype=np.float64)
-    if inter.nnz:
-        union = sizes[inter.row] + sizes[inter.col] - inter.data
-        d[inter.row, inter.col] = 1.0 - inter.data / union
+    inter = (s @ s.T).tocsr()
+    ptr, cols, counts = inter.indptr, inter.indices, inter.data
+    d = np.empty((n, n), dtype=np.float64)
+
+    def fill(lo: int, hi: int) -> None:
+        a, b = ptr[lo], ptr[hi]
+        rows = np.repeat(np.arange(lo, hi), np.diff(ptr[lo:hi + 1]))
+        c, both = cols[a:b], counts[a:b]
+        d[lo:hi] = 1.0
+        d[rows, c] = 1.0 - both / (sizes[rows] + sizes[c] - both)
+
+    _map_row_blocks(fill, n)
     np.fill_diagonal(d, 0.0)
     ENTRY_COUNTER.add(n * n)
     return DistanceMatrix(entries=d, kind="jaccard")
@@ -163,8 +207,8 @@ def clustering_distance(embeddings: np.ndarray, k: int,
                         include_self: bool = True) -> DistanceMatrix:
     """Full cosine -> kNN -> k-reciprocal -> Jaccard pipeline.
 
-    Never builds the n x n cosine matrix: cosine distances are computed one
-    `_ROW_CHUNK` block of rows at a time and reduced to kNN lists at once, so
+    Never builds the n x n cosine matrix: cosine distances are computed in
+    `_ROW_BLOCK`-row blocks and each block is reduced to kNN lists at once, so
     the Jaccard result is the only n^2 float64 matrix of the pass. The counter
     still gets n^2 for the cosine entries evaluated. The kNN selection is
     `knn`'s. A row block's product can round a dot product differently from

@@ -110,6 +110,13 @@ class TrainConfig:
             raise ValueError("tau must be > 0")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
+        if self.lambda_tri < 0:
+            raise ValueError("lambda_tri must be >= 0")
+        # augment_batch's rules, checked here so phase 1 does not run first
+        if self.sigma_aug < 0:
+            raise ValueError("sigma_aug must be >= 0")
+        if not 0.0 <= self.drop_p < 1.0:
+            raise ValueError("drop_p must be in [0, 1)")
         if not 0.0 <= self.eps < 1.0:
             # Jaccard distances lie in [0, 1]: eps >= 1 makes every pair a
             # neighbour, one cluster, and an n^2 pair list in dbscan

@@ -142,6 +142,12 @@ class TestTrain:
                      "--lr", lr] + TRAIN_FLAGS)
         assert code == EXIT_DATA
 
+    def test_drop_p_out_of_range_is_data_error(self, pool_file, tmp_path):
+        # "all" never augments, so only the config check can reject it
+        code = main(["train", pool_file, "-o", str(tmp_path / "r"),
+                     "--drop-p", "1.0", "--regime", "all"] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+
     def test_config_file_with_flag_overrides(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -158,6 +164,16 @@ class TestTrain:
         assert len(report["epochs"]) == 1  # flag wins over file
         assert report["config"]["lambda_tri"] == 0.5
         assert report["config"]["seed"] == 7  # file wins, no --seed given
+
+    def test_lambda_flag_beats_file_alias(self, pool_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 0.5}))
+        out = tmp_path / "run"
+        code = main(["train", pool_file, "--config", str(cfg), "-o", str(out),
+                     "--lambda", "0.9"] + TRAIN_FLAGS)
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["lambda_tri"] == 0.9
 
     def test_seed_env_fallback(self, pool_file, tmp_path, monkeypatch):
         monkeypatch.setenv("MCL_SEED", "11")

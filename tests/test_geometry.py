@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcl import geometry
 from mcl.data import GenSpec, generate_pool
 from mcl.geometry import (
     ENTRY_COUNTER,
@@ -110,6 +111,20 @@ class TestJaccard:
                     recip.toarray().astype(bool), include_self)
                 assert np.allclose(got.entries, want, atol=1e-12)
 
+    def test_peak_memory_is_one_matrix_plus_sparse_products(self, rng):
+        # the dense result plus the CSR intersection product (1.8M nonzeros
+        # here) and one row range of fill temporaries per worker
+        n = 3000
+        e = _unit(rng, n, 64)
+        tracemalloc.start()
+        try:
+            jaccard_distance(k_reciprocal_sets(
+                knn(pairwise_cosine_distance(e), 30)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
     def test_range_and_diagonal(self, rng):
         dm = pairwise_cosine_distance(_unit(rng, 30, 6))
         j = jaccard_distance(k_reciprocal_sets(knn(dm, 5)))
@@ -151,8 +166,8 @@ class TestPipeline:
             clustering_distance(e, k=0)
 
     def test_peak_memory_is_one_matrix_plus_a_row_block(self):
-        # the Jaccard result is the only n x n matrix; a row block of cosine
-        # distances and its argpartition index add about 2 * 1024 / n of one
+        # the Jaccard result is the only n x n matrix; each worker's row block
+        # of cosine distances and its argpartition index add 2 * 128 / n of one
         pool = generate_pool(GenSpec(num_identities=100, samples_per_identity=30,
                                      d_raw=64, intra_class_sigma=0.15, seed=1))
         x = pool.features.astype(np.float64)
@@ -177,3 +192,39 @@ class TestPipeline:
         assert np.all(np.diag(dm.entries) == 0.0)
         assert np.array_equal(dm.entries, dm.entries.T)
         assert dm.entries.min() >= 0.0 and dm.entries.max() <= 1.0
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("n,k", [(35, 6), (700, 10), (1030, 30)])
+    def test_results_do_not_depend_on_worker_count(self, rng, monkeypatch,
+                                                   n, k):
+        # 700 and 1030 rows end in a partial block; duplicated rows put exact
+        # ties across blocks
+        e = _unit(rng, n, 6)[rng.integers(0, max(n // 3, 2), size=n)]
+        dm = pairwise_cosine_distance(e)
+        got = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+            got.append((clustering_distance(e, k=k).entries, knn(dm, k)))
+        for entries, lists in got[1:]:
+            assert np.array_equal(entries, got[0][0])
+            assert np.array_equal(lists, got[0][1])
+
+    def test_blocks_cover_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_worker_count", lambda: 3)
+        n = 5 * geometry._ROW_BLOCK + 7
+        spans = geometry._map_row_blocks(lambda lo, hi: (lo, hi), n)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_exception_propagates(self, monkeypatch, workers):
+        monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+
+        def fail_in_third_block(lo, hi):
+            if lo == 2 * geometry._ROW_BLOCK:
+                raise RuntimeError("block failed")
+
+        with pytest.raises(RuntimeError, match="block failed"):
+            geometry._map_row_blocks(fail_in_third_block,
+                                     4 * geometry._ROW_BLOCK)

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ def test_profile_scaling(tmp_path):
     done = _run("profile_scaling.py", "--sizes", "300", "--fractions",
                 "1.0,0.5", "--repeats", "1", "-o", str(out))
     assert done.returncode == 0, done.stderr
+    assert re.match(r"workers [1-9]\d* ", done.stdout)
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["fraction"]) for r in rows] == [1.0, 0.5]

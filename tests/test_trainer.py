@@ -56,7 +56,8 @@ class TestTrainConfig:
         ("tau", float("nan")), ("eps", 1.0), ("eps", 1.5),
         ("lr", "abc"), ("lr", True), ("margin", None), ("epochs", 30.0),
         ("seed", True), ("k_neighbors", "30"), ("fixed_split", 1),
-        ("proto_renorm", "yes"),
+        ("proto_renorm", "yes"), ("sigma_aug", -1.0), ("drop_p", 1.0),
+        ("drop_p", -0.1), ("lambda_tri", -2.0),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError):
