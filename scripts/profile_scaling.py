@@ -43,6 +43,10 @@ def main(argv=None):
         base = None
         for r in fractions:
             m = max(2, int(round(n * r)))
+            if not rows:
+                # untimed: the first pass pays one-time costs (lazy scipy and
+                # thread-pool imports) that would inflate the r = 1 base wall
+                profile_clustering(x[:m], repeats=1)
             prof = profile_clustering(x[:m], repeats=args.repeats)
             if base is None:
                 base = prof

@@ -9,14 +9,14 @@ from .data import GenSpec, Pool, generate_pool, load_pool, read_features, \
     write_features
 from .geometry import ENTRY_COUNTER, clustering_distance, jaccard_distance, \
     k_reciprocal_sets, knn, pairwise_cosine_distance
-from .losses import infonce, phase2_total, siamese_consistency, \
-    soft_weighted_triplet
+from .losses import infonce_batch, phase2_total, siamese_consistency_batch, \
+    soft_weighted_triplet_batch
 from .metrics import CostProfile, clustering_quality, compute_map_cmc, \
     profile_clustering
-from .model import EncoderParams, OptimizerState, adam_step, augment, \
-    encode, encode_batch, load_checkpoint, lr_at_epoch, save_checkpoint
+from .model import EncoderParams, OptimizerState, adam_step, augment_batch, \
+    encode_batch, load_checkpoint, lr_at_epoch, save_checkpoint
 from .protobank import NoClustersError, PrototypeBank
-from .trainer import EpochPlan, NumericError, TrainConfig, TrainReport, \
+from .trainer import NumericError, TrainConfig, TrainReport, \
     benchmark_config, benchmark_genspec, epoch_split, pk_sample, train
 
 __all__ = [
@@ -25,13 +25,14 @@ __all__ = [
     "write_features",
     "ENTRY_COUNTER", "clustering_distance", "jaccard_distance",
     "k_reciprocal_sets", "knn", "pairwise_cosine_distance",
-    "infonce", "phase2_total", "siamese_consistency", "soft_weighted_triplet",
+    "infonce_batch", "phase2_total", "siamese_consistency_batch",
+    "soft_weighted_triplet_batch",
     "CostProfile", "clustering_quality", "compute_map_cmc",
     "profile_clustering",
-    "EncoderParams", "OptimizerState", "adam_step", "augment", "encode",
+    "EncoderParams", "OptimizerState", "adam_step", "augment_batch",
     "encode_batch", "load_checkpoint", "lr_at_epoch", "save_checkpoint",
     "NoClustersError", "PrototypeBank",
-    "EpochPlan", "NumericError", "TrainConfig", "TrainReport",
+    "NumericError", "TrainConfig", "TrainReport",
     "benchmark_config", "benchmark_genspec", "epoch_split", "pk_sample",
     "train",
 ]

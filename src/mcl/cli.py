@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from . import __version__
 from .data import FeatureFileError, GenSpec, Pool, generate_pool, load_pool, \
     write_features
 from .metrics import compute_map_cmc
-from .model import EncoderParams, load_checkpoint, save_checkpoint
+from .model import EncoderParams, encode_batch, load_checkpoint, \
+    save_checkpoint
 from .protobank import NoClustersError
 from .trainer import NumericError, REGIMES, TrainConfig, holdout_split, train
-from .model import encode_batch
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,15 +118,9 @@ def _resolve_config(args) -> TrainConfig:
         with open(args.config) as fh:
             file_fields = json.load(fh)
     config = TrainConfig.from_dict(file_fields)
-    flags: dict = {}
-    for _, dest, _typ in _CONFIG_FLAGS:
-        val = getattr(args, f"cfg_{dest}", None)
-        if val is not None:
-            flags[dest] = val
-    for _, dest in _ABLATION_FLAGS + [("", "proto_renorm")]:
-        val = getattr(args, f"cfg_{dest}", None)
-        if val is not None:
-            flags[dest] = val
+    # every field but seed has a cfg_<name> flag; an unset flag reads None
+    given = {f.name: getattr(args, f"cfg_{f.name}", None) for f in fields(config)}
+    flags = {name: val for name, val in given.items() if val is not None}
     if getattr(args, "split_ratio", None) is not None:
         flags["n_subsets"] = _ratio_to_subsets(args.split_ratio)
     if args.seed is not None:
@@ -210,8 +204,7 @@ def cmd_compare(args) -> int:
             schemes.append((f"naive@{r:g}", "naive", r))
     os.makedirs(args.out_dir, exist_ok=True)
     for name, regime, ratio in schemes:
-        cfg = TrainConfig.from_dict(
-            {**config.to_dict(), "n_subsets": _ratio_to_subsets(ratio)})
+        cfg = replace(config, n_subsets=_ratio_to_subsets(ratio))
         _, report = train(pool, cfg, regime)
         per_pass = max(e.distance_entries for e in report.epochs)
         rows.append({

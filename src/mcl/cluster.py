@@ -1,4 +1,4 @@
-"""DBScan over a precomputed distance matrix.
+"""DBScan over a precomputed (n, n) distance array.
 
 Deterministic variant. A point is core iff it has >= min_pts neighbors at
 distance <= eps, not counting itself. Clusters are the connected components
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DistanceMatrix
-
 _CHUNK = 512
 
 
@@ -24,18 +22,11 @@ class ClusterAssignment:
     num_clusters: int
 
     @property
-    def n(self) -> int:
-        return self.labels.shape[0]
-
-    @property
     def num_outliers(self) -> int:
         return int((self.labels == -1).sum())
 
-    def members(self, k: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == k)
 
-
-def dbscan(dm: DistanceMatrix, eps: float, min_pts: int) -> ClusterAssignment:
+def dbscan(d: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     # local imports: csgraph loads scipy.linalg, and importing either one at
     # module level measurably slowed `import mcl`
     import scipy.sparse as sp
@@ -45,8 +36,7 @@ def dbscan(dm: DistanceMatrix, eps: float, min_pts: int) -> ClusterAssignment:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    d = dm.entries
-    n = dm.n
+    n = d.shape[0]
     labels = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return ClusterAssignment(labels=labels, num_clusters=0)

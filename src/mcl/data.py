@@ -118,13 +118,6 @@ class Pool:
     def num_identities(self) -> int:
         return int(self.identities.max()) + 1 if len(self) else 1
 
-    def subset(self, positions: np.ndarray) -> "Pool":
-        return Pool(
-            self.features[positions],
-            self.identities[positions],
-            self.sample_ids[positions],
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pool):
             return NotImplemented

@@ -1,10 +1,10 @@
 """Pairwise distances, kNN, k-reciprocal sets, and Jaccard distance.
 
-Everything here is the substrate DBScan runs on. Distance matrices are dense
-float64 and symmetric. Every n x n set of distance entries evaluated adds n^2
-to the module's entry counter, whether or not the entries are ever stored
-together; the cost profiler reads it to reproduce the quadratic cost scaling
-of a clustering pass.
+Everything here is the substrate DBScan runs on. Distance matrices are plain
+(n, n) float64 arrays, symmetric with a zero diagonal. Every n x n set of
+distance entries evaluated adds n^2 to the module's entry counter, whether or
+not the entries are ever stored together; the cost profiler reads it to
+reproduce the quadratic cost scaling of a clustering pass.
 
 The row blocks of a clustering pass (fused cosine + kNN, and the Jaccard fill)
 run on up to one worker thread per CPU in the process's affinity mask; the
@@ -16,7 +16,6 @@ holds about `_ROW_BLOCK` x n x 16 bytes in flight.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,21 +65,8 @@ class EntryCounter:
     def total(self) -> int:
         return self._total
 
-    def reset(self) -> None:
-        self._total = 0
-
 
 ENTRY_COUNTER = EntryCounter()
-
-
-@dataclass
-class DistanceMatrix:
-    entries: np.ndarray  # (n, n) float64, symmetric, zero diagonal
-    kind: str  # "cosine" | "jaccard"
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
@@ -96,7 +82,7 @@ def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
     return e
 
 
-def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
+def pairwise_cosine_distance(embeddings: np.ndarray) -> np.ndarray:
     """1 - dot(e_i, e_j) over unit rows. Rows must be unit-norm within 1e-6."""
     e = _unit_rows(embeddings)
     # one symmetric product: row blocks of a gemm are not exactly symmetric
@@ -106,7 +92,7 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> DistanceMatrix:
     d += 1.0
     np.fill_diagonal(d, 0.0)
     ENTRY_COUNTER.add(d.shape[0] * d.shape[0])
-    return DistanceMatrix(entries=d, kind="cosine")
+    return d
 
 
 def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
@@ -150,12 +136,12 @@ def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
     return out
 
 
-def knn(dm: DistanceMatrix, k: int) -> np.ndarray:
+def knn(d: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbors per row, self excluded.
 
     Ordered by ascending distance; exact ties resolved by lower index.
     """
-    return _knn_by_blocks(dm.n, k, lambda lo, hi: dm.entries[lo:hi].copy())
+    return _knn_by_blocks(d.shape[0], k, lambda lo, hi: d[lo:hi].copy())
 
 
 def k_reciprocal_sets(knn_idx: np.ndarray) -> sp.csr_matrix:
@@ -172,7 +158,7 @@ def k_reciprocal_sets(knn_idx: np.ndarray) -> sp.csr_matrix:
 
 
 def jaccard_distance(reciprocal: sp.csr_matrix,
-                     include_self: bool = True) -> DistanceMatrix:
+                     include_self: bool = True) -> np.ndarray:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
 
     S(i) is row i of the `k_reciprocal_sets` adjacency, plus {i} itself when
@@ -200,11 +186,11 @@ def jaccard_distance(reciprocal: sp.csr_matrix,
     _map_row_blocks(fill, n)
     np.fill_diagonal(d, 0.0)
     ENTRY_COUNTER.add(n * n)
-    return DistanceMatrix(entries=d, kind="jaccard")
+    return d
 
 
 def clustering_distance(embeddings: np.ndarray, k: int,
-                        include_self: bool = True) -> DistanceMatrix:
+                        include_self: bool = True) -> np.ndarray:
     """Full cosine -> kNN -> k-reciprocal -> Jaccard pipeline.
 
     Never builds the n x n cosine matrix: cosine distances are computed in

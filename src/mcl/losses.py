@@ -2,9 +2,9 @@
 
 Phase 1 uses temperature-scaled InfoNCE against the prototype bank. Phase 2
 combines a swapped-prediction consistency term (targets are stop-gradient
-constants) with a soft-weighted triplet hinge. All ops return a LossValue
-carrying the scalar and a dict of embedding gradients; batched variants
-reduce by the mean over anchors and scale gradients accordingly.
+constants) with a soft-weighted triplet hinge. Every op takes a batch of
+embedding rows, reduces by the mean over rows, and returns a LossValue
+carrying the scalar and a dict of per-row embedding gradients of that mean.
 
 Every gradient here is finite-difference checked in the test suite.
 """
@@ -34,25 +34,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def infonce(q: np.ndarray, bank: PrototypeBank, positive_k: int,
-            tau: float) -> LossValue:
-    """-log softmax_tau(q . w)[positive_k]; gradient w.r.t. q only."""
-    if tau <= 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    if not 0 <= positive_k < bank.num_classes:
-        raise ValueError(f"positive_k {positive_k} out of range [0, {bank.num_classes})")
-    w = bank.weights
-    z = w @ np.asarray(q, dtype=np.float64) / tau
-    m = z.max()
-    value = m + np.log(np.exp(z - m).sum()) - z[positive_k]
-    p = _softmax(z)
-    grad_q = (p @ w - w[positive_k]) / tau
-    return LossValue(float(value), {"q": grad_q})
-
-
 def infonce_batch(v: np.ndarray, bank: PrototypeBank, labels: np.ndarray,
                   tau: float) -> LossValue:
-    """Mean InfoNCE over batch rows; grads['v'] is d(mean)/dV."""
+    """Mean over rows of -log softmax_tau(v . w)[label]; grads['v'] is
+    d(mean)/dV, with no gradient into the bank."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     v = np.asarray(v, dtype=np.float64)
@@ -73,13 +58,6 @@ def infonce_batch(v: np.ndarray, bank: PrototypeBank, labels: np.ndarray,
 
 def _cross_entropy(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(np.maximum(p, 1e-300))).sum(axis=-1)
-
-
-def siamese_consistency(f_s: np.ndarray, f_t: np.ndarray,
-                        bank: PrototypeBank) -> LossValue:
-    out = siamese_consistency_batch(f_s.reshape(1, -1), f_t.reshape(1, -1), bank)
-    return LossValue(out.value, {"f_s": out.grads["f_s"][0],
-                                 "f_t": out.grads["f_t"][0]})
 
 
 def siamese_consistency_batch(f_s: np.ndarray, f_t: np.ndarray,
@@ -105,15 +83,6 @@ def siamese_consistency_batch(f_s: np.ndarray, f_t: np.ndarray,
     grad_s = (p_s - y_t) @ w / n
     grad_t = (p_t - y_s) @ w / n
     return LossValue(float(value), {"f_s": grad_s, "f_t": grad_t})
-
-
-def soft_weighted_triplet(f_a: np.ndarray, f_p: np.ndarray, f_n: np.ndarray,
-                          margin: float, soft_weight: bool = True,
-                          clamp_weight: bool = True) -> LossValue:
-    out = soft_weighted_triplet_batch(
-        f_a.reshape(1, -1), f_p.reshape(1, -1), f_n.reshape(1, -1),
-        margin, soft_weight=soft_weight, clamp_weight=clamp_weight)
-    return LossValue(out.value, {k: g[0] for k, g in out.grads.items()})
 
 
 def soft_weighted_triplet_batch(f_a: np.ndarray, f_p: np.ndarray,

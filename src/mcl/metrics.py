@@ -29,15 +29,6 @@ class CostProfile:
     wall_seconds: float
     repeats: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "n_points": self.n_points,
-            "distance_entries": self.distance_entries,
-            "peak_bytes": self.peak_bytes,
-            "wall_seconds": self.wall_seconds,
-            "repeats": self.repeats,
-        }
-
 
 def compute_map_cmc(query_emb: np.ndarray, gallery_emb: np.ndarray,
                     query_ids: np.ndarray, gallery_ids: np.ndarray,

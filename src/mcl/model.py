@@ -53,14 +53,6 @@ class EncoderParams:
         out += [("W2", self.W2), ("b2", self.b2)]
         return out
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            W1=None if self.W1 is None else self.W1.copy(),
-            b1=None if self.b1 is None else self.b1.copy(),
-            W2=self.W2.copy(),
-            b2=self.b2.copy(),
-        )
-
     @classmethod
     def random_init(cls, d_raw: int, d_h: int, d_emb: int,
                     rng: np.random.Generator) -> "EncoderParams":
@@ -129,25 +121,14 @@ def encode_backward(params: EncoderParams, cache: EncodeCache,
     return grads
 
 
-def encode(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """Embed one raw vector; returns a unit-norm (d_emb,) vector."""
-    v, _ = encode_forward(params, x.reshape(1, -1))
-    return v[0]
-
-
 def encode_batch(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     v, _ = encode_forward(params, x)
     return v
 
 
-def augment(x: np.ndarray, rng: np.random.Generator, sigma_aug: float,
-            drop_p: float) -> np.ndarray:
-    """Gaussian noise then coordinate dropout with survivor rescaling."""
-    return augment_batch(x.reshape(1, -1), rng, sigma_aug, drop_p)[0]
-
-
 def augment_batch(x: np.ndarray, rng: np.random.Generator, sigma_aug: float,
                   drop_p: float) -> np.ndarray:
+    """Gaussian noise then coordinate dropout with survivor rescaling."""
     if sigma_aug < 0:
         raise ValueError(f"sigma_aug must be >= 0, got {sigma_aug}")
     if not 0.0 <= drop_p < 1.0:

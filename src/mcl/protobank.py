@@ -86,11 +86,8 @@ class PrototypeBank:
             upd /= norms[:, None]
         self.weights[present] = upd
 
-    def soft_label(self, v: np.ndarray) -> np.ndarray:
-        """Softmax over prototype dot products (no temperature)."""
-        return self.soft_label_batch(v.reshape(1, -1))[0]
-
     def soft_label_batch(self, v: np.ndarray) -> np.ndarray:
+        """Softmax over prototype dot products (no temperature), per row."""
         z = np.asarray(v, dtype=np.float64) @ self.weights.T
         z -= z.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -102,16 +99,3 @@ class PrototypeBank:
         if soft.shape[1] != self.num_classes:
             raise ValueError("soft label width != number of prototypes")
         return np.argmax(soft, axis=1).astype(np.int64)
-
-    def dump(self, path) -> None:
-        """Debug dump in the checkpoint section format."""
-        from .model import write_sections
-        write_sections(path, [("proto_W", self.weights),
-                              ("proto_m", np.array([self.momentum]))])
-
-    @classmethod
-    def load(cls, path, renormalize: bool = True) -> "PrototypeBank":
-        from .model import read_sections
-        sections = read_sections(path)
-        return cls(sections["proto_W"], momentum=float(sections["proto_m"][0]),
-                   renormalize=renormalize)

@@ -15,7 +15,6 @@ from the config seed, and reductions have a fixed order.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import warnings
@@ -135,6 +134,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"a config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         if "lambda" in d:  # accept the shorter alias in config files
             d["lambda_tri"] = d.pop("lambda")
@@ -144,11 +146,6 @@ class TrainConfig:
             raise ValueError(
                 f"unknown config keys {sorted(unknown)}; valid: {sorted(valid)}")
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def benchmark_genspec():
@@ -163,22 +160,13 @@ def benchmark_config(**overrides) -> TrainConfig:
     return replace(base, **overrides)
 
 
-@dataclass
-class EpochPlan:
+def epoch_split(n_samples: int, n_subsets: int,
+                epoch_seed: int) -> list[np.ndarray]:
     """Seeded permutation cut into N near-equal contiguous subsets."""
-
-    permutation: np.ndarray
-    n_subsets: int
-
-    def subsets(self) -> list[np.ndarray]:
-        return np.array_split(self.permutation, self.n_subsets)
-
-
-def epoch_split(n_samples: int, n_subsets: int, epoch_seed: int) -> EpochPlan:
     if n_subsets < 1 or n_subsets > n_samples:
         raise ValueError(f"need 1 <= n_subsets <= {n_samples}, got {n_subsets}")
     perm = np.random.default_rng(epoch_seed).permutation(n_samples)
-    return EpochPlan(permutation=perm, n_subsets=n_subsets)
+    return np.array_split(perm, n_subsets)
 
 
 def pk_sample(labels: np.ndarray, p: int, i: int,
@@ -209,7 +197,7 @@ class Phase1Stats:
     labels: np.ndarray  # DBScan labels over the subset, -1 = outlier
 
 
-def _cluster_with_widening(dm, eps: float, min_pts: int,
+def _cluster_with_widening(d: np.ndarray, eps: float, min_pts: int,
                            min_fraction: float = 0.0
                            ) -> tuple[ClusterAssignment, float]:
     """Retry DBScan with a wider radius when everything lands in noise.
@@ -221,9 +209,9 @@ def _cluster_with_widening(dm, eps: float, min_pts: int,
     """
     e = eps
     best: tuple[ClusterAssignment, float] | None = None
-    n = dm.n
+    n = d.shape[0]
     while True:
-        assignment = dbscan(dm, eps=e, min_pts=min_pts)
+        assignment = dbscan(d, eps=e, min_pts=min_pts)
         if assignment.num_clusters > 0:
             covered = 1.0 - assignment.num_outliers / n
             if covered >= min_fraction:
@@ -327,10 +315,10 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
     per_identity = config.i2_instances // 2  # distinct samples; 2 views each
     samples_per_batch = config.p2_identities * per_identity
     num_batches = math.ceil(positions.size / samples_per_batch)
+    p_eff = min(config.p2_identities, np.unique(ids).size)
     losses = []
     skipped = 0
     for _ in range(num_batches):
-        p_eff = min(config.p2_identities, np.unique(ids).size)
         local = pk_sample(ids, p_eff, per_identity, rng)
         raw = pool_features[positions[local]]
         batch_ids = ids[local]
@@ -488,7 +476,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
     q_ids = pool.identities[query_pos]
     g_ids = pool.identities[gallery_pos]
 
-    fixed_plan = epoch_split(n, n_subsets, config.seed)
+    fixed_subsets = epoch_split(n, n_subsets, config.seed)
     stage_lengths = _naive_stage_lengths(config.epochs, n_subsets)
     stage_of_epoch = np.repeat(np.arange(n_subsets), stage_lengths)
 
@@ -500,16 +488,13 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
         rng2 = np.random.default_rng([config.seed, 2, epoch])
 
         if regime == "naive":
-            plan = fixed_plan
-            subsets = plan.subsets()
-            x1 = subsets[stage_of_epoch[epoch]]
+            x1 = fixed_subsets[stage_of_epoch[epoch]]
             rest: list[np.ndarray] = []
         else:
             if regime == "mcl" and not config.fixed_split:
-                plan = epoch_split(n, n_subsets, config.seed + epoch)
+                subsets = epoch_split(n, n_subsets, config.seed + epoch)
             else:
-                plan = fixed_plan
-            subsets = plan.subsets()
+                subsets = fixed_subsets
             x1, rest = subsets[0], subsets[1:]
 
         labels_full = np.full(n, -1, dtype=np.int64)

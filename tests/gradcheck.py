@@ -15,7 +15,6 @@ import numpy as np
 
 from mcl.losses import (
     LossValue,
-    infonce,
     infonce_batch,
     phase2_total,
     siamese_consistency_batch,
@@ -45,15 +44,13 @@ def check_infonce(rng):
     bank = PrototypeBank(_unit(rng, k, d))
     tau = float(rng.uniform(0.03, 0.5))
     if rng.random() < 0.5:
-        q = rng.standard_normal(d)
-        pos = int(rng.integers(0, k))
-        got = infonce(q, bank, pos, tau)
-        fd = central_difference(lambda x: infonce(x, bank, pos, tau).value,
-                                q.copy())
-        return relative_error(got.grads["q"], fd)
-    n = int(rng.integers(1, 7))
-    v = rng.standard_normal((n, d))
-    labels = rng.integers(0, k, size=n)
+        # one row, drawn as a single query vector and its positive
+        v = rng.standard_normal(d)[None]
+        labels = np.array([int(rng.integers(0, k))])
+    else:
+        n = int(rng.integers(1, 7))
+        v = rng.standard_normal((n, d))
+        labels = rng.integers(0, k, size=n)
     got = infonce_batch(v, bank, labels, tau)
     fd = central_difference(lambda x: infonce_batch(x, bank, labels, tau).value,
                             v.copy())

@@ -13,7 +13,6 @@ import pytest
 
 from mcl.cluster import dbscan
 from mcl.data import GenSpec, generate_pool, read_features, write_features
-from mcl.geometry import DistanceMatrix
 from mcl.metrics import profile_clustering
 from mcl.model import EncoderParams, OptimizerState
 from mcl.protobank import PrototypeBank
@@ -112,8 +111,7 @@ def test_criterion_2_clustering_reference():
         np.fill_diagonal(d, 0.0)
         eps = float(rng.uniform(0.05, 0.9))
         min_pts = int(rng.integers(1, 9))
-        got = dbscan(DistanceMatrix(entries=d, kind="jaccard"),
-                     eps=eps, min_pts=min_pts)
+        got = dbscan(d, eps=eps, min_pts=min_pts)
         want = dbscan_reference(d, eps, min_pts)
         same = partitions_match(got.labels, want)
         if not same:
@@ -213,7 +211,7 @@ def test_criterion_6_invariants(small_pool, tmp_path):
     ok = True
     for _ in range(50):
         n, s = int(rng.integers(2, 400)), int(rng.integers(1, 9))
-        parts = epoch_split(n, s, int(rng.integers(0, 1000))).subsets()
+        parts = epoch_split(n, s, int(rng.integers(0, 1000)))
         cat = np.concatenate(parts)
         sizes = [len(p) for p in parts]
         ok &= bool(np.array_equal(np.sort(cat), np.arange(n))

@@ -123,6 +123,16 @@ class TestTrain:
                      "-o", str(tmp_path / "r")] + TRAIN_FLAGS)
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "5",
+                                      '[["seed", 3]]'])
+    def test_config_file_not_an_object_is_data_error(self, pool_file,
+                                                     tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["train", pool_file, "--config", str(cfg),
+                     "-o", str(tmp_path / "r")] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+
     def test_numeric_failure_exit_code(self, pool_file, monkeypatch, tmp_path):
         def boom(pool, config, regime):
             raise NumericError("synthetic")

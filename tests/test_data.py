@@ -100,11 +100,6 @@ class TestPool:
             Pool(np.zeros((2, 2), dtype=np.float32), np.zeros(2),
                  sample_ids=np.array([3, 3]))
 
-    def test_subset_preserves_sample_ids(self, small_pool):
-        sub = small_pool.subset(np.array([5, 1, 10]))
-        assert np.array_equal(sub.sample_ids, [5, 1, 10])
-        assert np.array_equal(sub.features, small_pool.features[[5, 1, 10]])
-
 
 class TestMCLFRoundTrip:
     @given(

@@ -5,12 +5,9 @@ import pytest
 
 from mcl.losses import (
     LossValue,
-    infonce,
     infonce_batch,
     phase2_total,
-    siamese_consistency,
     siamese_consistency_batch,
-    soft_weighted_triplet,
     soft_weighted_triplet_batch,
 )
 from mcl.protobank import PrototypeBank
@@ -39,16 +36,16 @@ class TestInfoNCE:
         w = np.zeros((k, d))
         w[:, 0] = 1.0
         bank = PrototypeBank(w, renormalize=False)
-        q = np.zeros(d)
-        q[1] = 1.0
-        out = infonce(q, bank, positive_k=2, tau=0.05)
+        q = np.zeros((1, d))
+        q[0, 1] = 1.0
+        out = infonce_batch(q, bank, np.array([2]), tau=0.05)
         assert out.value == pytest.approx(np.log(k), abs=1e-12)
 
     def test_perfect_match_drives_loss_down(self, rng):
         bank = PrototypeBank(unit_rows(rng, 4, 6))
-        q = bank.weights[1] * 50.0  # strongly aligned with its positive
-        low = infonce(q, bank, 1, tau=0.05).value
-        high = infonce(q, bank, 2, tau=0.05).value
+        q = bank.weights[1:2] * 50.0  # strongly aligned with its positive
+        low = infonce_batch(q, bank, np.array([1]), tau=0.05).value
+        high = infonce_batch(q, bank, np.array([2]), tau=0.05).value
         assert low < 1e-6 < high
 
     def test_batch_is_mean_of_singles(self, rng):
@@ -56,9 +53,10 @@ class TestInfoNCE:
         v = rng.standard_normal((4, 6))
         labels = np.array([0, 2, 2, 4])
         batch = infonce_batch(v, bank, labels, tau=0.1)
-        singles = [infonce(v[i], bank, int(labels[i]), tau=0.1) for i in range(4)]
+        singles = [infonce_batch(v[i:i + 1], bank, labels[i:i + 1], tau=0.1)
+                   for i in range(4)]
         assert batch.value == pytest.approx(np.mean([s.value for s in singles]))
-        stacked = np.stack([s.grads["q"] for s in singles]) / 4.0
+        stacked = np.concatenate([s.grads["v"] for s in singles]) / 4.0
         assert np.allclose(batch.grads["v"], stacked, atol=1e-12)
 
     def test_gradients_match_fd(self):
@@ -68,13 +66,13 @@ class TestInfoNCE:
 
     def test_parameter_validation(self, rng):
         bank = PrototypeBank(unit_rows(rng, 3, 4))
-        q = rng.standard_normal(4)
+        q = rng.standard_normal((1, 4))
         with pytest.raises(ValueError):
-            infonce(q, bank, 0, tau=0.0)
+            infonce_batch(q, bank, np.array([0]), tau=0.0)
         with pytest.raises(ValueError):
-            infonce(q, bank, 3, tau=0.1)
+            infonce_batch(q, bank, np.array([3]), tau=0.1)
         with pytest.raises(ValueError):
-            infonce_batch(q[None], bank, np.array([-1]), tau=0.1)
+            infonce_batch(q, bank, np.array([-1]), tau=0.1)
 
 
 class TestSiamese:
@@ -101,14 +99,6 @@ class TestSiamese:
         full_fd = central_difference(
             lambda m: siamese_consistency_batch(m, f_t, bank).value, f_s.copy())
         assert relative_error(out.grads["f_s"], full_fd) > 1e-3
-
-    def test_single_pair_helper(self, rng):
-        bank = PrototypeBank(unit_rows(rng, 3, 4))
-        a, b = rng.standard_normal(4), rng.standard_normal(4)
-        single = siamese_consistency(a, b, bank)
-        batch = siamese_consistency_batch(a[None], b[None], bank)
-        assert single.value == pytest.approx(batch.value)
-        assert np.allclose(single.grads["f_s"], batch.grads["f_s"][0])
 
     def test_shape_mismatch_rejected(self, rng):
         bank = PrototypeBank(unit_rows(rng, 3, 4))
@@ -163,13 +153,6 @@ class TestTriplet:
         raw = soft_weighted_triplet_batch(f_a, f_p, f_n, 0.5, clamp_weight=False)
         # raw product keeps the negative similarity: hinge 4-2+0.5, omega -1*0
         assert raw.value == pytest.approx((4 - 2 + 0.5) * (-1.0) * 0.0)
-
-    def test_single_triple_helper(self, rng):
-        a, p, n = (unit_rows(rng, 1, 4)[0] for _ in range(3))
-        single = soft_weighted_triplet(a, p, n, 0.3)
-        batch = soft_weighted_triplet_batch(a[None], p[None], n[None], 0.3)
-        assert single.value == pytest.approx(batch.value)
-        assert np.allclose(single.grads["f_a"], batch.grads["f_a"][0])
 
     def test_gradients_match_fd_all_variants(self):
         rng = np.random.default_rng(2)

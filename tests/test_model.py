@@ -11,7 +11,6 @@ from mcl.model import (
     OptimizerState,
     adam_step,
     augment_batch,
-    encode,
     encode_backward,
     encode_batch,
     encode_forward,
@@ -51,11 +50,6 @@ class TestForward:
         u = x @ params.W2.T + params.b2
         want = u / np.linalg.norm(u, axis=1, keepdims=True)
         assert np.allclose(encode_batch(params, x), want, atol=1e-12)
-
-    def test_single_vector_helper(self, rng):
-        params = _params(rng)
-        x = rng.standard_normal(6)
-        assert np.allclose(encode(params, x), encode_batch(params, x[None])[0])
 
     def test_degenerate_embedding_raises(self):
         params = EncoderParams(W1=None, b1=None, W2=np.zeros((3, 4)),
@@ -130,7 +124,7 @@ class TestAugment:
         assert abs(out.std() - 0.3) < 0.01
 
     def test_dropout_is_unbiased(self):
-        # survivor rescaling keeps E[augment(x)] = x
+        # survivor rescaling keeps E[augment_batch(x)] = x
         rng = np.random.default_rng(1)
         x = np.full((200000, 1), 2.0)
         out = augment_batch(x, rng, sigma_aug=0.0, drop_p=0.4)

@@ -148,11 +148,6 @@ class TestSoftLabels:
         want = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         assert np.allclose(bank.soft_label_batch(v), want, atol=1e-12)
 
-    def test_single_vector_helper(self, rng):
-        bank = _bank(rng, k=4, d=5)
-        v = unit_rows(rng, 1, 5)[0]
-        assert np.allclose(bank.soft_label(v), bank.soft_label_batch(v[None])[0])
-
     def test_stable_under_large_logits(self, rng):
         # raw weights far from unit norm produce extreme logits when
         # renormalization is disabled; softmax must not overflow
@@ -196,12 +191,3 @@ class TestHarden:
         soft_scaled /= soft_scaled.sum(axis=1, keepdims=True)
         assert np.array_equal(bank.harden(soft), bank.harden(soft_scaled))
 
-
-class TestDumpLoad:
-    def test_round_trip(self, rng, tmp_path):
-        bank = _bank(rng, k=4, d=6, momentum=0.35)
-        path = tmp_path / "bank.mclp"
-        bank.dump(path)
-        back = PrototypeBank.load(path)
-        assert np.allclose(back.weights, bank.weights, atol=1e-15)
-        assert back.momentum == pytest.approx(0.35)

@@ -39,3 +39,16 @@ def test_sweep_dbscan(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6 * 3  # the default eps x min_pts grid
+
+
+def test_run_benchmark(tmp_path):
+    out = tmp_path / "bench.csv"
+    done = _run("run_benchmark.py", "--schemes", "mcl", "--epochs", "2",
+                "--series", "-o", str(out))
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"^  correct-pair: \d\.\d{4} \d\.\d{4}$", done.stdout,
+                     re.MULTILINE)
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["scheme", "mAP", "rank1", "entries", "seconds"]
+    assert [r[0] for r in rows[1:]] == ["mcl"]
