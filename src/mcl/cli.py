@@ -64,38 +64,13 @@ def _ratio_to_subsets(ratio: float) -> int:
     return max(1, round(1.0 / ratio))
 
 
-_CONFIG_FLAGS = [
-    # (flag, config field, type)
-    ("--subsets", "n_subsets", int),
-    ("--epochs", "epochs", int),
-    ("--warmup-epochs", "warmup_epochs", int),
-    ("--p", "p_identities", int),
-    ("--i", "i_instances", int),
-    ("--p2", "p2_identities", int),
-    ("--i2", "i2_instances", int),
-    ("--momentum", "momentum_m", float),
-    ("--margin", "margin", float),
-    ("--lambda", "lambda_tri", float),
-    ("--tau", "tau", float),
-    ("--eps", "eps", float),
-    ("--min-pts", "min_pts", int),
-    ("--k", "k_neighbors", int),
-    ("--min-cluster-fraction", "min_cluster_fraction", float),
-    ("--lr", "lr", float),
-    ("--weight-decay", "weight_decay", float),
-    ("--d-hidden", "d_hidden", int),
-    ("--d-emb", "d_emb", int),
-    ("--sigma-aug", "sigma_aug", float),
-    ("--drop-p", "drop_p", float),
-    ("--holdout", "holdout_fraction", float),
-]
-
-_ABLATION_FLAGS = [
-    ("--fixed-split", "fixed_split"),
-    ("--shared-label-space", "shared_label_space"),
-    ("--no-sc", "no_sc"),
-    ("--plain-triplet", "plain_triplet"),
-]
+# TrainConfig fields whose flag is not --<field-name>
+_FLAG_NAMES = {
+    "n_subsets": "--subsets", "p_identities": "--p", "i_instances": "--i",
+    "p2_identities": "--p2", "i2_instances": "--i2",
+    "momentum_m": "--momentum", "lambda_tri": "--lambda",
+    "k_neighbors": "--k", "holdout_fraction": "--holdout",
+}
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -103,31 +78,38 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--split-ratio", type=float, default=None,
                    help="meta-training fraction r; maps to N = round(1/r)")
-    for flag, dest, typ in _CONFIG_FLAGS:
-        p.add_argument(flag, dest=f"cfg_{dest}", type=typ, default=None)
-    for flag, dest in _ABLATION_FLAGS:
-        p.add_argument(flag, dest=f"cfg_{dest}", action="store_true",
-                       default=None)
-    p.add_argument("--no-proto-renorm", dest="cfg_proto_renorm",
-                   action="store_false", default=None)
+    # one flag per field but seed, typed by its default (a bool is a switch);
+    # an unset flag reads None
+    for f in fields(TrainConfig):
+        if f.name == "seed":
+            continue
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        if isinstance(f.default, bool):
+            p.add_argument(flag, dest=f"cfg_{f.name}", action="store_true",
+                           default=None)
+        else:
+            p.add_argument(flag, dest=f"cfg_{f.name}", type=type(f.default),
+                           default=None)
 
 
 def _resolve_config(args) -> TrainConfig:
-    file_fields: dict = {}
-    if getattr(args, "config", None):
+    """The config file's fields with the set flags on top, validated once."""
+    merged = {}
+    if args.config:
         with open(args.config) as fh:
-            file_fields = json.load(fh)
-    config = TrainConfig.from_dict(file_fields)
-    # every field but seed has a cfg_<name> flag; an unset flag reads None
-    given = {f.name: getattr(args, f"cfg_{f.name}", None) for f in fields(config)}
-    flags = {name: val for name, val in given.items() if val is not None}
-    if getattr(args, "split_ratio", None) is not None:
-        flags["n_subsets"] = _ratio_to_subsets(args.split_ratio)
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    elif "seed" not in file_fields and os.environ.get("MCL_SEED"):
-        flags["seed"] = int(os.environ["MCL_SEED"])
-    return replace(config, **flags)
+            merged = json.load(fh)
+    if isinstance(merged, dict):  # from_dict rejects anything else
+        for f in fields(TrainConfig):
+            value = getattr(args, f"cfg_{f.name}", None)
+            if value is not None:
+                merged[f.name] = value
+        if args.split_ratio is not None:
+            merged["n_subsets"] = _ratio_to_subsets(args.split_ratio)
+        if args.seed is not None:
+            merged["seed"] = args.seed
+        elif os.environ.get("MCL_SEED"):
+            merged.setdefault("seed", int(os.environ["MCL_SEED"]))
+    return TrainConfig.from_dict(merged)
 
 
 def _write_metrics_csv(path, report) -> None:

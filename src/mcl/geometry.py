@@ -157,20 +157,18 @@ def k_reciprocal_sets(knn_idx: np.ndarray) -> sp.csr_matrix:
     return r
 
 
-def jaccard_distance(reciprocal: sp.csr_matrix,
-                     include_self: bool = True) -> np.ndarray:
+def jaccard_distance(reciprocal: sp.csr_matrix) -> np.ndarray:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
 
-    S(i) is row i of the `k_reciprocal_sets` adjacency, plus {i} itself when
-    include_self (the default). Pairs of empty sets get distance 1; the
-    diagonal is 0. Intersections are one sparse product (sets are tiny); the
-    dense result is filled from its CSR rows in `_map_row_blocks` row ranges.
+    S(i) is row i of the `k_reciprocal_sets` adjacency plus {i} itself, so no
+    set is empty and the diagonal is 0. Intersections are one sparse product
+    (sets are tiny); the dense result is filled from its CSR rows in
+    `_map_row_blocks` row ranges.
     """
     n = reciprocal.shape[0]
     s = reciprocal.astype(np.int32)  # counts <= n; halves the product's data
-    if include_self:
-        s = (s + sp.identity(n, dtype=np.int32, format="csr")).tocsr()
-        s.data[:] = 1
+    s = (s + sp.identity(n, dtype=np.int32, format="csr")).tocsr()
+    s.data[:] = 1
     sizes = np.asarray(s.getnnz(axis=1), dtype=np.int64)
     inter = (s @ s.T).tocsr()
     ptr, cols, counts = inter.indptr, inter.indices, inter.data
@@ -189,8 +187,7 @@ def jaccard_distance(reciprocal: sp.csr_matrix,
     return d
 
 
-def clustering_distance(embeddings: np.ndarray, k: int,
-                        include_self: bool = True) -> np.ndarray:
+def clustering_distance(embeddings: np.ndarray, k: int) -> np.ndarray:
     """Full cosine -> kNN -> k-reciprocal -> Jaccard pipeline.
 
     Never builds the n x n cosine matrix: cosine distances are computed in
@@ -210,4 +207,4 @@ def clustering_distance(embeddings: np.ndarray, k: int,
 
     lists = _knn_by_blocks(n, k, cosine_rows)
     ENTRY_COUNTER.add(n * n)
-    return jaccard_distance(k_reciprocal_sets(lists), include_self=include_self)
+    return jaccard_distance(k_reciprocal_sets(lists))

@@ -132,11 +132,9 @@ def soft_weighted_triplet_batch(f_a: np.ndarray, f_p: np.ndarray,
 
 def phase2_total(l_sc: LossValue, l_tri: LossValue,
                  lambda_tri: float) -> LossValue:
-    """consistency + lambda * triplet; gradients combine linearly (summed on shared keys)."""
-    grads = {k: g.copy() for k, g in l_sc.grads.items()}
-    for k, g in l_tri.grads.items():
-        if k in grads:
-            grads[k] = grads[k] + lambda_tri * g
-        else:
-            grads[k] = lambda_tri * g
-    return LossValue(l_sc.value + lambda_tri * l_tri.value, grads)
+    """consistency + lambda * triplet over the same rows of embeddings.
+
+    Both terms carry one gradient, grads['v'], and it combines linearly.
+    """
+    return LossValue(l_sc.value + lambda_tri * l_tri.value,
+                     {"v": l_sc.grads["v"] + lambda_tri * l_tri.grads["v"]})

@@ -122,8 +122,8 @@ def labeling_correct_fraction(labels: np.ndarray, ground_truth: np.ndarray) -> f
 
 
 def profile_clustering(embeddings: np.ndarray, k: int = 30, eps: float = 0.7,
-                       min_pts: int = 4, include_self: bool = True,
-                       repeats: int = 3, timer=time.perf_counter) -> CostProfile:
+                       min_pts: int = 4, repeats: int = 3,
+                       timer=time.perf_counter) -> CostProfile:
     """Time and count one full distance + DBScan pass; wall = median of repeats."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -132,7 +132,7 @@ def profile_clustering(embeddings: np.ndarray, k: int = 30, eps: float = 0.7,
     for _ in range(repeats):
         before = ENTRY_COUNTER.total
         t0 = timer()
-        dm = clustering_distance(embeddings, k=k, include_self=include_self)
+        dm = clustering_distance(embeddings, k=k)
         dbscan(dm, eps=eps, min_pts=min_pts)
         t1 = timer()
         del dm

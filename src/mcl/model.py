@@ -156,11 +156,9 @@ class OptimizerState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: EncoderParams, lr: float, weight_decay: float = 0.0,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "OptimizerState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon,
-                    weight_decay=weight_decay)
+    def for_params(cls, params: EncoderParams, lr: float,
+                   weight_decay: float = 0.0) -> "OptimizerState":
+        state = cls(lr=lr, weight_decay=weight_decay)
         for name, p in params.tensors():
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
@@ -189,14 +187,13 @@ def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
             p -= state.lr * state.weight_decay * p
 
 
-def lr_at_epoch(base_lr: float, epoch: int, total_epochs: int,
-                decay: float = 0.1) -> float:
+def lr_at_epoch(base_lr: float, epoch: int, total_epochs: int) -> float:
     """Step schedule: x0.1 at 1/3 and 2/3 of the run (20 and 40 of 60 epochs)."""
     boundaries = (total_epochs // 3, 2 * total_epochs // 3)
     factor = 1.0
     for b in boundaries:
         if b > 0 and epoch >= b:
-            factor *= decay
+            factor *= 0.1
     return base_lr * factor
 
 

@@ -1,7 +1,7 @@
 """Prototype memory bank: one unit vector per pseudo-class.
 
-Rows are initialized to renormalized cluster means, drift toward fresh batch
-embeddings through a momentum update, and serve as both the classifier
+Rows are initialized to unit-normalized cluster means, drift toward fresh
+batch embeddings through a momentum update, and serve as both the classifier
 weights of the contrastive phase and the soft-labeling reference of the
 polishment phase.
 """
@@ -16,8 +16,10 @@ class NoClustersError(RuntimeError):
 
 
 class PrototypeBank:
-    def __init__(self, weights: np.ndarray, momentum: float = 0.2,
-                 renormalize: bool = True):
+    """K x d prototype rows, scaled to unit norm on construction and after
+    every momentum update."""
+
+    def __init__(self, weights: np.ndarray, momentum: float = 0.2):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError(f"prototype matrix must be 2-D, got {weights.ndim}-D")
@@ -27,12 +29,10 @@ class PrototypeBank:
             raise ValueError(f"momentum must be in [0, 1], got {momentum}")
         self.weights = np.ascontiguousarray(weights)
         self.momentum = momentum
-        self.renormalize = renormalize
-        if renormalize:
-            norms = np.linalg.norm(self.weights, axis=1)
-            if norms.min() < 1e-12:
-                raise ValueError("degenerate prototype (norm ~ 0)")
-            self.weights /= norms[:, None]
+        norms = np.linalg.norm(self.weights, axis=1)
+        if norms.min() < 1e-12:
+            raise ValueError("degenerate prototype (norm ~ 0)")
+        self.weights /= norms[:, None]
 
     @property
     def num_classes(self) -> int:
@@ -44,7 +44,7 @@ class PrototypeBank:
 
     @classmethod
     def from_clusters(cls, embeddings: np.ndarray, labels: np.ndarray,
-                      momentum: float = 0.2, renormalize: bool = True) -> "PrototypeBank":
+                      momentum: float = 0.2) -> "PrototypeBank":
         """Mean embedding per cluster id 0..K-1; label -1 (outlier) is ignored."""
         embeddings = np.asarray(embeddings, dtype=np.float64)
         labels = np.asarray(labels)
@@ -61,10 +61,10 @@ class PrototypeBank:
         if counts.min() == 0:
             raise ValueError("cluster ids must be contiguous from 0")
         w /= counts[:, None]
-        return cls(w, momentum=momentum, renormalize=renormalize)
+        return cls(w, momentum=momentum)
 
     def momentum_update(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
-        """w_k <- m w_k + (1-m) mean(batch members of k), then renormalize.
+        """w_k <- m w_k + (1-m) mean(batch members of k), scaled to unit norm.
 
         Classes absent from the batch are left bitwise untouched.
         """
@@ -79,11 +79,10 @@ class PrototypeBank:
         present = counts > 0
         m = self.momentum
         upd = m * self.weights[present] + (1.0 - m) * (sums[present] / counts[present, None])
-        if self.renormalize:
-            norms = np.linalg.norm(upd, axis=1)
-            if norms.min(initial=np.inf) < 1e-12:
-                raise ValueError("momentum update collapsed a prototype")
-            upd /= norms[:, None]
+        norms = np.linalg.norm(upd, axis=1)
+        if norms.min(initial=np.inf) < 1e-12:
+            raise ValueError("momentum update collapsed a prototype")
+        upd /= norms[:, None]
         self.weights[present] = upd
 
     def soft_label_batch(self, v: np.ndarray) -> np.ndarray:

@@ -74,7 +74,6 @@ class TrainConfig:
     shared_label_space: bool = False
     no_sc: bool = False
     plain_triplet: bool = False
-    proto_renorm: bool = True
 
     def __post_init__(self):
         # a field's default fixes its type; a float field also takes an int,
@@ -138,8 +137,8 @@ class TrainConfig:
             raise ValueError(
                 f"a config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
-        if "lambda" in d:  # accept the shorter alias in config files
-            d["lambda_tri"] = d.pop("lambda")
+        if "lambda" in d:  # the shorter alias in config files; the field wins
+            d.setdefault("lambda_tri", d.pop("lambda"))
         valid = set(cls.__dataclass_fields__)
         unknown = set(d) - valid
         if unknown:
@@ -239,8 +238,7 @@ def run_phase1_epoch(features: np.ndarray, params: EncoderParams,
         dm, config.eps, config.min_pts, config.min_cluster_fraction)
     del dm
     bank = PrototypeBank.from_clusters(emb, assignment.labels,
-                                       momentum=config.momentum_m,
-                                       renormalize=config.proto_renorm)
+                                       momentum=config.momentum_m)
     kept = np.flatnonzero(assignment.labels >= 0)
     kept_labels = assignment.labels[kept]
     p_eff = min(config.p_identities, bank.num_classes)
@@ -295,9 +293,10 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
     Identity = (subset, argmax) realized as argmax + subset offset, so two
     samples from different subsets never count as positives unless the
     shared-label-space ablation is on. Each drawn sample contributes two
-    augmented views; the triplet term mines batch-hard within the stacked
-    views and is skipped (with a warning) when fewer than two identities
-    are in reach.
+    augmented views, stacked as [view a; view b] through one encoder forward
+    and one backward per batch; the triplet term mines batch-hard within the
+    stacked views and is skipped (with a warning) when fewer than two
+    identities are in reach.
     """
     k_classes = bank.num_classes
     positions, ids = [], []
@@ -324,16 +323,15 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
         batch_ids = ids[local]
         view_a = augment_batch(raw, rng, config.sigma_aug, config.drop_p)
         view_b = augment_batch(raw, rng, config.sigma_aug, config.drop_p)
-        va, cache_a = encode_forward(params, view_a)
-        vb, cache_b = encode_forward(params, view_b)
-        b = va.shape[0]
-        v2 = np.concatenate([va, vb], axis=0)
+        # one pass over the stacked views [a; b]: rows i and b + i are the
+        # two views of sample i, and the backward sums over both
+        v2, cache = encode_forward(params, np.concatenate([view_a, view_b]))
         ids2 = np.concatenate([batch_ids, batch_ids])
 
         if config.no_sc:
             l_sc = LossValue(0.0, {"v": np.zeros_like(v2)})
         else:
-            sc = siamese_consistency_batch(va, vb, bank)
+            sc = siamese_consistency_batch(*np.split(v2, 2), bank)
             g = np.concatenate([sc.grads["f_s"], sc.grads["f_t"]], axis=0)
             l_sc = LossValue(sc.value, {"v": g})
 
@@ -344,11 +342,7 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
             skipped += 1
 
         total = phase2_total(l_sc, l_tri, config.lambda_tri)
-        gv = total.grads["v"]
-        grads = encode_backward(params, cache_a, gv[:b])
-        for name, g in encode_backward(params, cache_b, gv[b:]).items():
-            grads[name] += g
-        adam_step(params, grads, opt)
+        adam_step(params, encode_backward(params, cache, total.grads["v"]), opt)
         losses.append(total.value)
     return Phase2Stats(losses=losses, hardened=ids, positions=positions,
                        triplet_skipped=skipped)

@@ -26,21 +26,15 @@ def reciprocal_membership(knn_idx):
     return member & member.T
 
 
-def jaccard_from_sets(recip, include_self=True):
-    """Explicit per-pair set Jaccard; empty-vs-anything pairs get distance 1."""
+def jaccard_from_sets(recip):
+    """Explicit per-pair set Jaccard over each row's set plus itself."""
     n = recip.shape[0]
-    sets = []
-    for i in range(n):
-        s = set(np.flatnonzero(recip[i]).tolist())
-        if include_self:
-            s.add(i)
-        sets.append(s)
+    sets = [set(np.flatnonzero(recip[i]).tolist()) | {i} for i in range(n)]
     d = np.ones((n, n))
     for i in range(n):
         for j in range(n):
             union = sets[i] | sets[j]
-            if union:
-                d[i, j] = 1.0 - len(sets[i] & sets[j]) / len(union)
+            d[i, j] = 1.0 - len(sets[i] & sets[j]) / len(union)
     np.fill_diagonal(d, 0.0)
     return d
 

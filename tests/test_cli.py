@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
 from mcl.data import load_pool, read_features, write_features
 from mcl.model import load_checkpoint, write_sections
 from mcl.trainer import NumericError
@@ -53,6 +53,26 @@ class TestGen:
     def test_invalid_spec_is_data_error(self, tmp_path):
         code = main(["gen", "--ids", "1", "-o", str(tmp_path / "p.mclf")])
         assert code == EXIT_DATA
+
+
+TRAIN_OPTIONS = [
+    "-h", "--help", "--config", "--seed", "--split-ratio", "--subsets",
+    "--epochs", "--warmup-epochs", "--p", "--i", "--p2", "--i2", "--momentum",
+    "--margin", "--lambda", "--tau", "--eps", "--min-pts", "--k",
+    "--min-cluster-fraction", "--lr", "--weight-decay", "--d-hidden",
+    "--d-emb", "--sigma-aug", "--drop-p", "--holdout", "--fixed-split",
+    "--shared-label-space", "--no-sc", "--plain-triplet",
+]
+
+
+@pytest.mark.parametrize("verb,own", [
+    ("train", ["--regime", "-o", "--out-dir"]),
+    ("compare", ["--ratios", "-o", "--out-dir"]),
+])
+def test_training_verbs_option_strings(verb, own):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    got = [opt for a in sub.choices[verb]._actions for opt in a.option_strings]
+    assert got == TRAIN_OPTIONS[:2] + own + TRAIN_OPTIONS[2:]
 
 
 class TestUsageErrors:
@@ -184,6 +204,35 @@ class TestTrain:
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["lambda_tri"] == 0.9
+
+    def test_config_file_and_flags_validated_together(self, pool_file,
+                                                      tmp_path):
+        # the default warm-up of 5 must not be checked against the file's
+        # 3 epochs before --warmup-epochs applies
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3}))
+        out = tmp_path / "run"
+        assert TRAIN_FLAGS[:2] == ["--epochs", "2"]  # left to the file
+        code = main(["train", pool_file, "--config", str(cfg), "-o", str(out)]
+                    + TRAIN_FLAGS[2:])
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["epochs"] == 3
+        assert report["config"]["warmup_epochs"] == 0
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--fixed-split", "fixed_split"),
+        ("--shared-label-space", "shared_label_space"),
+        ("--no-sc", "no_sc"),
+        ("--plain-triplet", "plain_triplet"),
+    ])
+    def test_ablation_switch_sets_field(self, pool_file, tmp_path, flag, name):
+        out = tmp_path / "run"
+        code = main(["train", pool_file, "-o", str(out), flag] + TRAIN_FLAGS)
+        assert code == EXIT_OK
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config[name] is True
+        assert [k for k, v in config.items() if v is True] == [name]
 
     def test_seed_env_fallback(self, pool_file, tmp_path, monkeypatch):
         monkeypatch.setenv("MCL_SEED", "11")

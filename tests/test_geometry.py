@@ -98,16 +98,14 @@ class TestReciprocal:
 
 class TestJaccard:
     def test_matches_set_oracle(self, rng):
-        for include_self in (True, False):
-            for trial in range(6):
-                n = int(rng.integers(6, 40))
-                k = int(rng.integers(1, min(10, n - 1)))
-                dm = pairwise_cosine_distance(_unit(rng, n, 5))
-                recip = k_reciprocal_sets(knn(dm, k))
-                got = jaccard_distance(recip, include_self=include_self)
-                want = jaccard_from_sets(
-                    recip.toarray().astype(bool), include_self)
-                assert np.allclose(got, want, atol=1e-12)
+        for trial in range(6):
+            n = int(rng.integers(6, 40))
+            k = int(rng.integers(1, min(10, n - 1)))
+            dm = pairwise_cosine_distance(_unit(rng, n, 5))
+            recip = k_reciprocal_sets(knn(dm, k))
+            got = jaccard_distance(recip)
+            want = jaccard_from_sets(recip.toarray().astype(bool))
+            assert np.allclose(got, want, atol=1e-12)
 
     def test_peak_memory_is_one_matrix_plus_sparse_products(self, rng):
         # the dense result plus the CSR intersection product (1.8M nonzeros

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from mcl.data import GenSpec, Pool, generate_pool
 from mcl.geometry import ENTRY_COUNTER
-from mcl.model import EncoderParams, OptimizerState
+from mcl.losses import siamese_consistency_batch
+from mcl.model import EncoderParams, OptimizerState, augment_batch, \
+    encode_backward, encode_batch, encode_forward
 from mcl.protobank import NoClustersError, PrototypeBank
 from mcl.trainer import (
     EPS_CEILING,
@@ -56,7 +58,7 @@ class TestTrainConfig:
         ("tau", float("nan")), ("eps", 1.0), ("eps", 1.5),
         ("lr", "abc"), ("lr", True), ("margin", None), ("epochs", 30.0),
         ("seed", True), ("k_neighbors", "30"), ("fixed_split", 1),
-        ("proto_renorm", "yes"), ("sigma_aug", -1.0), ("drop_p", 1.0),
+        ("no_sc", "yes"), ("sigma_aug", -1.0), ("drop_p", 1.0),
         ("drop_p", -0.1), ("lambda_tri", -2.0),
     ])
     def test_invalid_field_rejected(self, field, value):
@@ -313,6 +315,54 @@ class TestPhase2:
         run_phase2_epoch(feats, [np.arange(16)], bank, params, opt, cfg,
                          np.random.default_rng(3))
         assert not np.array_equal(params.W2, before)
+
+    def test_stacked_step_matches_per_view_gradients(self, rng, monkeypatch):
+        # 8 samples fill one batch of up to 4 identities x 2 samples x 2 views
+        cfg = _fast_config(p2_identities=4, i2_instances=4)
+        bank = PrototypeBank(unit_rows(rng, 4, 6))
+        params = EncoderParams.random_init(6, 5, 6, rng)
+        opt = OptimizerState.for_params(params, lr=1e-3)
+        feats = rng.standard_normal((8, 6))
+        applied, calls = [], {"forward": 0, "backward": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("mcl.trainer.adam_step",
+                            lambda params, grads, opt: applied.append(grads))
+        monkeypatch.setattr("mcl.trainer.encode_forward",
+                            counted("forward", encode_forward))
+        monkeypatch.setattr("mcl.trainer.encode_backward",
+                            counted("backward", encode_backward))
+        run_phase2_epoch(feats, [np.arange(8)], bank, params, opt, cfg,
+                         np.random.default_rng(4))
+        assert len(applied) == 1
+        assert calls == {"forward": 1, "backward": 1}
+
+        # the same draws, each view through its own forward and backward
+        ids = bank.harden(bank.soft_label_batch(encode_batch(params, feats)))
+        draw = np.random.default_rng(4)
+        local = pk_sample(ids, min(4, np.unique(ids).size), 2, draw)
+        view_a = augment_batch(feats[local], draw, cfg.sigma_aug, cfg.drop_p)
+        view_b = augment_batch(feats[local], draw, cfg.sigma_aug, cfg.drop_p)
+        va, cache_a = encode_forward(params, view_a)
+        vb, cache_b = encode_forward(params, view_b)
+        v2 = np.concatenate([va, vb])
+        assert np.unique(ids[local]).size >= 2  # the triplet term runs
+        sc = siamese_consistency_batch(va, vb, bank)
+        g_sc = np.concatenate([sc.grads["f_s"], sc.grads["f_t"]])
+        tri = _batch_hard_triplet(v2, np.concatenate([ids[local]] * 2), cfg)
+        gv = g_sc + cfg.lambda_tri * tri.grads["v"]
+        b = va.shape[0]
+        want = encode_backward(params, cache_a, gv[:b])
+        for name, g in encode_backward(params, cache_b, gv[b:]).items():
+            want[name] += g
+        assert set(applied[0]) == set(want)
+        for name, g in want.items():
+            assert np.allclose(applied[0][name], g, rtol=0, atol=1e-12), name
 
 
 class TestHoldout:
