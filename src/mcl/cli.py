@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -33,21 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-@dataclass
-class RunManifest:
-    command: list[str]
-    config: dict
-    seed: int
-    input_hashes: dict[str, str] = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    version: str = __version__
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.__dict__, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _sha256(path) -> str:
@@ -112,22 +97,24 @@ def _resolve_config(args) -> TrainConfig:
     return TrainConfig.from_dict(merged)
 
 
-def _write_metrics_csv(path, report) -> None:
+def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["epoch", "mAP", "rank1", "entries", "seconds"])
-        for e in report.epochs:
-            w.writerow([e.epoch, f"{e.mean_ap:.6f}", f"{e.rank1:.6f}",
-                        e.distance_entries, f"{e.seconds:.6f}"])
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _write_cost_csv(path, report) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "distance_entries", "peak_bytes", "seconds"])
-        for e in report.epochs:
-            w.writerow([e.epoch, e.distance_entries, e.distance_entries * 8,
-                        f"{e.seconds:.6f}"])
+def _write_manifest(args, config: TrainConfig, outputs: list[str]) -> None:
+    """manifest.json in the run's directory: how to redo it and what it read."""
+    manifest = {
+        "command": sys.argv[1:], "config": config.to_dict(),
+        "seed": config.seed, "outputs": outputs, "version": __version__,
+        "input_hashes": {path: _sha256(path)
+                         for path in (args.pool, args.config) if path},
+    }
+    with open(os.path.join(args.out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_gen(args) -> int:
@@ -153,15 +140,16 @@ def cmd_train(args) -> int:
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    _write_metrics_csv(os.path.join(out, "metrics.csv"), report)
-    _write_cost_csv(os.path.join(out, "cost.csv"), report)
-    manifest = RunManifest(
-        command=sys.argv[1:], config=config.to_dict(), seed=config.seed,
-        input_hashes={args.pool: _sha256(args.pool)},
-        outputs=["checkpoint.mclp", "report.json", "metrics.csv", "cost.csv"])
-    if args.config:
-        manifest.input_hashes[args.config] = _sha256(args.config)
-    manifest.write(os.path.join(out, "manifest.json"))
+    _write_csv(os.path.join(out, "metrics.csv"),
+               ["epoch", "mAP", "rank1", "entries", "seconds"],
+               ([e.epoch, f"{e.mean_ap:.6f}", f"{e.rank1:.6f}",
+                 e.distance_entries, f"{e.seconds:.6f}"] for e in report.epochs))
+    _write_csv(os.path.join(out, "cost.csv"),
+               ["epoch", "distance_entries", "peak_bytes", "seconds"],
+               ([e.epoch, e.distance_entries, e.distance_entries * 8,
+                 f"{e.seconds:.6f}"] for e in report.epochs))
+    _write_manifest(args, config,
+                    ["checkpoint.mclp", "report.json", "metrics.csv", "cost.csv"])
     print(f"{args.regime}: final mAP {report.final_map:.4f} "
           f"rank1 {report.final_rank1:.4f} "
           f"entries {report.total_entries} "
@@ -197,24 +185,17 @@ def cmd_compare(args) -> int:
         })
         print(f"{name}: mAP {report.final_map:.4f} rank1 "
               f"{report.final_rank1:.4f} peak_bytes {per_pass * 8}")
-    with open(os.path.join(args.out_dir, "compare.csv"), "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["scheme", "ratio", "mAP", "rank1",
-                                           "entries", "peak_bytes", "seconds"])
-        w.writeheader()
-        w.writerows(rows)
+    _write_csv(os.path.join(args.out_dir, "compare.csv"), list(rows[0]),
+               (row.values() for row in rows))
     # budget view: best mAP attainable under each per-pass byte budget
-    with open(os.path.join(args.out_dir, "budget_sweep.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["budget_bytes", "scheme", "mAP"])
-        for budget in sorted({row["peak_bytes"] for row in rows}):
-            fits = [row for row in rows if row["peak_bytes"] <= budget]
-            best = max(fits, key=lambda row: row["mAP"])
-            w.writerow([budget, best["scheme"], f"{best['mAP']:.6f}"])
-    manifest = RunManifest(
-        command=sys.argv[1:], config=config.to_dict(), seed=config.seed,
-        input_hashes={args.pool: _sha256(args.pool)},
-        outputs=["compare.csv", "budget_sweep.csv"])
-    manifest.write(os.path.join(args.out_dir, "manifest.json"))
+    sweep = []
+    for budget in sorted({row["peak_bytes"] for row in rows}):
+        fits = [row for row in rows if row["peak_bytes"] <= budget]
+        best = max(fits, key=lambda row: row["mAP"])
+        sweep.append([budget, best["scheme"], f"{best['mAP']:.6f}"])
+    _write_csv(os.path.join(args.out_dir, "budget_sweep.csv"),
+               ["budget_bytes", "scheme", "mAP"], sweep)
+    _write_manifest(args, config, ["compare.csv", "budget_sweep.csv"])
     return EXIT_OK
 
 
@@ -245,8 +226,7 @@ def cmd_dump_embeddings(args) -> int:
     pool = load_pool(args.pool)
     params = load_checkpoint(args.checkpoint)
     emb = encode_batch(params, pool.features.astype(np.float64))
-    out_pool = Pool(emb.astype(np.float32), pool.identities,
-                    sample_ids=pool.sample_ids)
+    out_pool = Pool(emb.astype(np.float32), pool.identities)
     write_features(out_pool, args.out, include_labels=True)
     print(f"wrote {len(out_pool)} embeddings x {out_pool.d_raw} dims to {args.out}")
     return EXIT_OK

@@ -46,7 +46,7 @@ class TruncatedFileError(FeatureFileError):
 
 
 class DimensionMismatchError(FeatureFileError):
-    """Row width or feature dimension disagrees with what was expected."""
+    """A zero feature dimension, or a row whose width disagrees with it."""
 
 
 @dataclass(frozen=True)
@@ -73,17 +73,12 @@ class GenSpec:
 class Pool:
     """Ordered collection of raw feature vectors with hidden identities.
 
-    Stored column-wise as arrays: ``features`` (n, d_raw) float32,
-    ``identities`` (n,) int64, ``sample_ids`` (n,) int64. Identities are
-    evaluation-only; trainers must address samples by position/sample_id.
+    Stored column-wise as arrays: ``features`` (n, d_raw) float32 and
+    ``identities`` (n,) int64. Identities are evaluation-only; trainers
+    address samples by position.
     """
 
-    def __init__(
-        self,
-        features: np.ndarray,
-        identities: np.ndarray,
-        sample_ids: np.ndarray | None = None,
-    ):
+    def __init__(self, features: np.ndarray, identities: np.ndarray):
         features = np.ascontiguousarray(features, dtype=np.float32)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
@@ -95,17 +90,8 @@ class Pool:
             raise ValueError("identities must have one entry per sample")
         if n and identities.min() < 0:
             raise ValueError("identities must be non-negative")
-        if sample_ids is None:
-            sample_ids = np.arange(n, dtype=np.int64)
-        else:
-            sample_ids = np.asarray(sample_ids, dtype=np.int64)
-            if sample_ids.shape != (n,):
-                raise ValueError("sample_ids must have one entry per sample")
-            if len(np.unique(sample_ids)) != n:
-                raise ValueError("sample_ids must be unique")
         self.features = features
         self.identities = identities
-        self.sample_ids = sample_ids
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -125,7 +111,6 @@ class Pool:
             self.features.shape == other.features.shape
             and self.features.tobytes() == other.features.tobytes()
             and np.array_equal(self.identities, other.identities)
-            and np.array_equal(self.sample_ids, other.sample_ids)
         )
 
     def __repr__(self) -> str:
@@ -160,7 +145,7 @@ def write_features(pool: Pool, path, include_labels: bool = True) -> None:
             fh.write(pool.identities.astype("<u4").tobytes())
 
 
-def read_features(path, expect_d: int | None = None) -> Pool:
+def read_features(path) -> Pool:
     """Read an MCLF file; raises distinct errors for each malformation."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -175,8 +160,6 @@ def read_features(path, expect_d: int | None = None) -> Pool:
         raise FeatureFileError(f"{path}: unsupported version {version}")
     if d == 0:
         raise DimensionMismatchError(f"{path}: zero feature dimension")
-    if expect_d is not None and d != expect_d:
-        raise DimensionMismatchError(f"{path}: dimension {d}, expected {expect_d}")
     want = n * d * 4 + (n * 4 if flags & FLAG_LABELS else 0)
     body = raw[_HEADER.size:]
     if len(body) < want:
@@ -191,7 +174,7 @@ def read_features(path, expect_d: int | None = None) -> Pool:
     return Pool(features, identities)
 
 
-def read_features_csv(path, expect_d: int | None = None) -> Pool:
+def read_features_csv(path) -> Pool:
     """Import the CSV fallback: header ``d=<int>``, one row of d floats per sample."""
     with open(path, "r") as fh:
         header = fh.readline().strip()
@@ -203,8 +186,6 @@ def read_features_csv(path, expect_d: int | None = None) -> Pool:
             raise BadMagicError(f"{path}: CSV header must be 'd=<int>', got {header!r}")
         if d < 1:
             raise DimensionMismatchError(f"{path}: zero feature dimension")
-        if expect_d is not None and d != expect_d:
-            raise DimensionMismatchError(f"{path}: dimension {d}, expected {expect_d}")
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -220,12 +201,12 @@ def read_features_csv(path, expect_d: int | None = None) -> Pool:
     return Pool(features, np.zeros(len(rows), dtype=np.int64))
 
 
-def load_pool(path, expect_d: int | None = None) -> Pool:
+def load_pool(path) -> Pool:
     """Load a pool by sniffing the format: MCLF magic first, CSV fallback."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == MAGIC:
-        return read_features(path, expect_d=expect_d)
+        return read_features(path)
     if head[:2] == b"d=":
-        return read_features_csv(path, expect_d=expect_d)
+        return read_features_csv(path)
     raise BadMagicError(f"{path}: neither MCLF magic nor CSV 'd=' header")

@@ -23,11 +23,9 @@ from .geometry import ENTRY_COUNTER, clustering_distance
 
 @dataclass
 class CostProfile:
-    n_points: int
     distance_entries: int
     peak_bytes: int
     wall_seconds: float
-    repeats: int = 1
 
 
 def compute_map_cmc(query_emb: np.ndarray, gallery_emb: np.ndarray,
@@ -142,10 +140,6 @@ def profile_clustering(embeddings: np.ndarray, k: int = 30, eps: float = 0.7,
         elif entries != delta:
             raise RuntimeError("entry counter drifted across repeats")
         walls.append(t1 - t0)
-    return CostProfile(
-        n_points=int(embeddings.shape[0]),
-        distance_entries=int(entries),
-        peak_bytes=int(entries) * 8,
-        wall_seconds=float(np.median(walls)),
-        repeats=repeats,
-    )
+    return CostProfile(distance_entries=int(entries),
+                       peak_bytes=int(entries) * 8,
+                       wall_seconds=float(np.median(walls)))

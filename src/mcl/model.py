@@ -34,18 +34,6 @@ class EncoderParams:
     W2: np.ndarray  # (d_emb, d_h) or (d_emb, d_raw) in linear mode
     b2: np.ndarray  # (d_emb,)
 
-    @property
-    def d_raw(self) -> int:
-        return self.W1.shape[1] if self.W1 is not None else self.W2.shape[1]
-
-    @property
-    def d_h(self) -> int:
-        return self.W1.shape[0] if self.W1 is not None else 0
-
-    @property
-    def d_emb(self) -> int:
-        return self.W2.shape[0]
-
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         out = []
         if self.W1 is not None:
@@ -239,7 +227,11 @@ def read_sections(path) -> dict[str, np.ndarray]:
             raise TruncatedFileError(f"{path}: checkpoint payload truncated")
         if arr.size != size:
             raise TruncatedFileError(f"{path}: checkpoint payload truncated")
+        if name in sections:
+            raise FeatureFileError(f"{path}: repeated checkpoint section {name!r}")
         sections[name] = arr.reshape(shape).astype(np.float64)
+    if off != len(raw):
+        raise FeatureFileError(f"{path}: {len(raw) - off} bytes of trailing data")
     return sections
 
 

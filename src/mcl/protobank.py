@@ -38,10 +38,6 @@ class PrototypeBank:
     def num_classes(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def d_emb(self) -> int:
-        return self.weights.shape[1]
-
     @classmethod
     def from_clusters(cls, embeddings: np.ndarray, labels: np.ndarray,
                       momentum: float = 0.2) -> "PrototypeBank":

@@ -28,8 +28,9 @@ from .geometry import ENTRY_COUNTER, clustering_distance
 from .losses import LossValue, infonce_batch, phase2_total, \
     siamese_consistency_batch, soft_weighted_triplet_batch
 from .metrics import compute_map_cmc, labeling_correct_fraction
-from .model import EncoderParams, OptimizerState, adam_step, augment_batch, \
-    encode_backward, encode_batch, encode_forward, lr_at_epoch
+from .model import DegenerateEmbeddingError, EncoderParams, OptimizerState, \
+    adam_step, augment_batch, encode_backward, encode_batch, encode_forward, \
+    lr_at_epoch
 from .protobank import NoClustersError, PrototypeBank
 
 REGIMES = ("mcl", "all", "naive")
@@ -190,10 +191,8 @@ def pk_sample(labels: np.ndarray, p: int, i: int,
 @dataclass
 class Phase1Stats:
     losses: list[float]
-    num_clusters: int
-    num_outliers: int
+    assignment: ClusterAssignment  # DBScan over the subset, -1 = outlier
     eps_used: float
-    labels: np.ndarray  # DBScan labels over the subset, -1 = outlier
 
 
 def _cluster_with_widening(d: np.ndarray, eps: float, min_pts: int,
@@ -254,10 +253,7 @@ def run_phase1_epoch(features: np.ndarray, params: EncoderParams,
         adam_step(params, grads, opt)
         bank.momentum_update(v, batch_labels)
         losses.append(loss.value)
-    stats = Phase1Stats(losses=losses, num_clusters=assignment.num_clusters,
-                        num_outliers=assignment.num_outliers,
-                        eps_used=eps_used, labels=assignment.labels)
-    return bank, stats
+    return bank, Phase1Stats(losses, assignment, eps_used)
 
 
 @dataclass
@@ -413,7 +409,7 @@ def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.n
     """Train positions, then query/gallery positions over held-out identities.
 
     The top `holdout_fraction` of identity ids is never trained on; each
-    held-out identity contributes its lowest-sample-id row as the query and
+    held-out identity contributes its lowest-position row as the query and
     the rest as gallery. With no holdout, evaluation reuses the train pool.
     """
     ids = pool.identities
@@ -427,17 +423,11 @@ def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.n
         rows = eval_pos[ids[eval_pos] == ident]
         if rows.size < 2:
             continue  # nothing to retrieve for a singleton identity
-        order = rows[np.argsort(pool.sample_ids[rows], kind="stable")]
-        query.append(order[0])
-        gallery.extend(order[1:])
+        query.append(rows[0])  # rows ascend: flatnonzero keeps pool order
+        gallery.extend(rows[1:])
     if not query:
         raise ValueError("no evaluable identity (need >= 2 samples each)")
     return train_pos, np.array(query), np.array(gallery)
-
-
-def _naive_stage_lengths(epochs: int, n_subsets: int) -> list[int]:
-    base, rem = divmod(epochs, n_subsets)
-    return [base + 1] * rem + [base] * (n_subsets - rem)
 
 
 def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
@@ -471,8 +461,9 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
     g_ids = pool.identities[gallery_pos]
 
     fixed_subsets = epoch_split(n, n_subsets, config.seed)
-    stage_lengths = _naive_stage_lengths(config.epochs, n_subsets)
-    stage_of_epoch = np.repeat(np.arange(n_subsets), stage_lengths)
+    # naive: near-equal runs of epochs per fixed subset, longer runs first
+    stages = np.array_split(np.arange(config.epochs), n_subsets)
+    stage_of_epoch = np.repeat(np.arange(n_subsets), [s.size for s in stages])
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -494,7 +485,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
         labels_full = np.full(n, -1, dtype=np.int64)
         try:
             bank, p1 = run_phase1_epoch(features[x1], params, opt, config, rng1)
-            labels_full[x1] = p1.labels
+            labels_full[x1] = p1.assignment.labels
             run_p2 = (regime == "mcl" and rest
                       and epoch >= config.warmup_epochs)
             p2 = None
@@ -507,7 +498,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
             # the epoch's last update can be the one that diverges
             qv = encode_batch(params, q_feat)
             gv = encode_batch(params, g_feat)
-        except FloatingPointError as exc:
+        except (FloatingPointError, DegenerateEmbeddingError) as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
 
         mean_ap, cmc = compute_map_cmc(qv, gv, q_ids, g_ids)
@@ -515,8 +506,8 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
             epoch=epoch,
             n_phase1=int(x1.size),
             n_phase2=int(p2.positions.size) if p2 else 0,
-            num_clusters=p1.num_clusters,
-            num_outliers=p1.num_outliers,
+            num_clusters=p1.assignment.num_clusters,
+            num_outliers=p1.assignment.num_outliers,
             eps_used=p1.eps_used,
             phase1_loss=float(np.mean(p1.losses)) if p1.losses else float("nan"),
             phase2_loss=float(np.mean(p2.losses)) if p2 and p2.losses else float("nan"),

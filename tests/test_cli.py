@@ -99,7 +99,7 @@ class TestTrain:
                     + TRAIN_FLAGS)
         assert code == EXIT_OK
         ckpt = load_checkpoint(out / "checkpoint.mclp")
-        assert ckpt.d_emb == 6
+        assert ckpt.W2.shape[0] == 6
         report = json.loads((out / "report.json").read_text())
         assert report["regime"] == "mcl"
         assert len(report["epochs"]) == 2
@@ -165,6 +165,14 @@ class TestTrain:
         code = main(["train", pool_file, "-o", str(tmp_path / "r"),
                      "--lr", "1e300"] + TRAIN_FLAGS)
         assert code == EXIT_NUMERIC
+
+    def test_collapsed_embedding_exit_code(self, pool_file, tmp_path, capsys):
+        # decoupled decay of lr x weight_decay = 1 zeroes every weight on the
+        # first step, so the next forward pass has no direction to normalize
+        code = main(["train", pool_file, "-o", str(tmp_path / "r"),
+                     "--lr", "1", "--weight-decay", "1"] + TRAIN_FLAGS)
+        assert code == EXIT_NUMERIC
+        assert "numeric failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lr", ["nan", "-1"])
     def test_bad_lr_is_data_error(self, pool_file, tmp_path, lr):
@@ -298,6 +306,18 @@ class TestCompare:
         assert best_small["scheme"] in ("mcl@0.5", "naive@0.5")
         assert (out / "manifest.json").exists()
 
+    def test_manifest_hashes_config_file(self, pool_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 0.5}))
+        out = tmp_path / "cmp"
+        code = main(["compare", pool_file, "--ratios", "0.5", "--config",
+                     str(cfg), "-o", str(out)] + TRAIN_FLAGS)
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["input_hashes"]) == {pool_file, str(cfg)}
+        assert all(len(h) == 64 for h in manifest["input_hashes"].values())
+        assert manifest["outputs"] == ["compare.csv", "budget_sweep.csv"]
+
     def test_bad_ratio_list(self, pool_file, tmp_path):
         code = main(["compare", pool_file, "--ratios", "2.0",
                      "-o", str(tmp_path / "c")] + TRAIN_FLAGS)
@@ -347,5 +367,18 @@ class TestEvalAndDump:
         ckpt = tmp_path / "w1-only.mclp"
         write_sections(ckpt, [("W1", np.zeros((4, 8))), ("W2", np.eye(6, 4)),
                               ("b2", np.zeros(6))])
+        code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("tail,extra", [
+        (b"\0" * 14, []),
+        (b"", [("W2", np.eye(6, 8))]),
+    ], ids=["trailing-bytes", "repeated-section"])
+    def test_checkpoint_with_leftovers_is_data_error(self, pool_file,
+                                                     tmp_path, tail, extra):
+        ckpt = tmp_path / "c.mclp"
+        write_sections(ckpt, [("W2", np.eye(6, 8)), ("b2", np.zeros(6))]
+                       + extra)
+        ckpt.write_bytes(ckpt.read_bytes() + tail)
         code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA

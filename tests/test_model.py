@@ -45,7 +45,6 @@ class TestForward:
     def test_linear_mode(self, rng):
         params = EncoderParams.random_init(6, 0, 4, rng)
         assert params.W1 is None and params.b1 is None
-        assert params.d_h == 0
         x = rng.standard_normal((5, 6))
         u = x @ params.W2.T + params.b2
         want = u / np.linalg.norm(u, axis=1, keepdims=True)
@@ -255,6 +254,21 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(TruncatedFileError):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, rng, tmp_path):
+        path = tmp_path / "x.mclp"
+        save_checkpoint(_params(rng), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 14)
+        with pytest.raises(FeatureFileError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_repeated_section_rejected(self, tmp_path):
+        # the last copy must not silently win
+        path = tmp_path / "x.mclp"
+        write_sections(path, [("W2", np.zeros((2, 2))), ("b2", np.zeros(2)),
+                              ("W2", np.ones((2, 2)))])
+        with pytest.raises(FeatureFileError, match="repeated"):
+            read_sections(path)
 
     def test_unknown_sections_rejected(self, tmp_path):
         path = tmp_path / "x.mclp"

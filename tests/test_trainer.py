@@ -18,7 +18,6 @@ from mcl.trainer import (
     TrainConfig,
     _batch_hard_triplet,
     _cluster_with_widening,
-    _naive_stage_lengths,
     benchmark_config,
     benchmark_genspec,
     epoch_split,
@@ -260,8 +259,8 @@ class TestPhase1:
         bank, stats = run_phase1_epoch(feats, params, opt, cfg,
                                        np.random.default_rng(1))
         assert ENTRY_COUNTER.total - entries0 == 2 * 72 * 72
-        assert bank.num_classes == stats.num_clusters >= 1
-        assert stats.labels.shape == (72,)
+        assert bank.num_classes == stats.assignment.num_clusters >= 1
+        assert stats.assignment.labels.shape == (72,)
         assert all(np.isfinite(v) for v in stats.losses)
         assert not np.array_equal(params.W2, before)
         assert stats.eps_used >= cfg.eps
@@ -373,12 +372,11 @@ class TestHoldout:
         assert np.all(ids[train_pos] < cut)
         assert np.all(ids[query] >= cut)
         assert np.all(ids[gallery] >= cut)
-        # one query per held-out identity, lowest sample id
+        # one query per held-out identity, its lowest position
         held = np.unique(ids[np.concatenate([query, gallery])])
         assert query.size == held.size
         for q in query:
-            same = np.flatnonzero(ids == ids[q])
-            assert small_pool.sample_ids[q] == small_pool.sample_ids[same].min()
+            assert q == np.flatnonzero(ids == ids[q]).min()
         # query and gallery partition the held-out rows
         eval_rows = np.sort(np.concatenate([query, gallery]))
         assert np.array_equal(eval_rows, np.flatnonzero(ids >= cut))
@@ -402,18 +400,6 @@ class TestHoldout:
         pool = Pool(feats, np.array([0, 0, 1]))  # identity 1 is a singleton
         with pytest.raises(ValueError, match="no evaluable"):
             holdout_split(pool, 0.4)
-
-
-class TestNaivePlan:
-    @given(epochs=st.integers(1, 100), subsets=st.integers(1, 10))
-    @settings(max_examples=60, deadline=None)
-    def test_lengths_partition_epochs(self, epochs, subsets):
-        lengths = _naive_stage_lengths(epochs, subsets)
-        assert sum(lengths) == epochs
-        assert len(lengths) == subsets
-        assert max(lengths) - min(lengths) <= 1
-        # remainder goes to the earlier stages
-        assert lengths == sorted(lengths, reverse=True)
 
 
 class TestTrain:
