@@ -10,7 +10,8 @@ The row blocks of a clustering pass (fused cosine + kNN, and the Jaccard fill)
 run on up to one worker thread per CPU in the process's affinity mask; the
 numpy calls they make release the GIL, and each block writes only its own
 rows, so the results are bitwise the same for any worker count. Each worker
-holds about `_ROW_BLOCK` x n x 16 bytes in flight.
+holds about `_ROW_BLOCK` x n x 16 bytes in flight. scipy.sparse loads inside
+the functions that use it, so `import mcl` loads no scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import scipy.sparse as sp
 
 # rows per block. Keep it small: glibc keeps each worker thread's freed blocks
 # in that thread's own malloc arena, so 256 rows already cost 7 MiB more peak
@@ -144,8 +144,9 @@ def knn(d: np.ndarray, k: int) -> np.ndarray:
     return _knn_by_blocks(d.shape[0], k, lambda lo, hi: d[lo:hi].copy())
 
 
-def k_reciprocal_sets(knn_idx: np.ndarray) -> sp.csr_matrix:
-    """Boolean adjacency R with R[i,j] iff j in knn(i) and i in knn(j)."""
+def k_reciprocal_sets(knn_idx: np.ndarray):
+    """CSR adjacency R with R[i,j] iff j in knn(i) and i in knn(j)."""
+    import scipy.sparse as sp
     n, k = knn_idx.shape
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
     cols = knn_idx.ravel()
@@ -157,7 +158,7 @@ def k_reciprocal_sets(knn_idx: np.ndarray) -> sp.csr_matrix:
     return r
 
 
-def jaccard_distance(reciprocal: sp.csr_matrix) -> np.ndarray:
+def jaccard_distance(reciprocal) -> np.ndarray:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
 
     S(i) is row i of the `k_reciprocal_sets` adjacency plus {i} itself, so no
@@ -165,6 +166,7 @@ def jaccard_distance(reciprocal: sp.csr_matrix) -> np.ndarray:
     (sets are tiny); the dense result is filled from its CSR rows in
     `_map_row_blocks` row ranges.
     """
+    import scipy.sparse as sp
     n = reciprocal.shape[0]
     s = reciprocal.astype(np.int32)  # counts <= n; halves the product's data
     s = (s + sp.identity(n, dtype=np.int32, format="csr")).tocsr()

@@ -255,4 +255,7 @@ def load_checkpoint(path) -> EncoderParams:
             shapes = {name: t.shape for name, t in sections.items()}
             raise FeatureFileError(f"{path}: checkpoint shapes do not chain: {shapes}")
         width = w.shape[0]
+    bad = [name for name, t in params.tensors() if not np.isfinite(t).all()]
+    if bad:
+        raise FeatureFileError(f"{path}: non-finite values in checkpoint tensors {bad}")
     return params

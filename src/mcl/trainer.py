@@ -411,11 +411,13 @@ def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.n
     The top `holdout_fraction` of identity ids is never trained on; each
     held-out identity contributes its lowest-position row as the query and
     the rest as gallery. With no holdout, evaluation reuses the train pool.
+    The fraction must lie in [0, 1), as `TrainConfig` requires.
     """
+    if not 0.0 <= holdout_fraction < 1.0:
+        raise ValueError(f"holdout fraction must be in [0, 1), got {holdout_fraction}")
     ids = pool.identities
     num = pool.num_identities
-    cut = int(round(num * (1.0 - holdout_fraction)))
-    cut = min(max(cut, 1), num)
+    cut = max(int(round(num * (1.0 - holdout_fraction))), 1)
     train_pos = np.flatnonzero(ids < cut)
     eval_pos = np.flatnonzero(ids >= cut) if cut < num else train_pos
     query, gallery = [], []

@@ -6,10 +6,23 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mcl.data import GenSpec, generate_pool
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env():
+    """This process's environment with the repository's src/ first on
+    PYTHONPATH, for tests that run mcl in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture

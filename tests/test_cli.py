@@ -370,6 +370,24 @@ class TestEvalAndDump:
         code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+    def test_non_finite_checkpoint_is_data_error(self, pool_file, tmp_path,
+                                                 capsys, command):
+        ckpt = tmp_path / "nan.mclp"
+        write_sections(ckpt, [("W2", np.full((6, 8), np.nan)),
+                              ("b2", np.zeros(6))])
+        code = main([command, pool_file, "--checkpoint", str(ckpt),
+                     "-o", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fraction", ["-3", "1", "1.5"])
+    def test_holdout_outside_unit_interval_is_data_error(self, pool_file,
+                                                         fraction):
+        code = main(["eval", pool_file, "--identity-init",
+                     "--holdout", fraction])
+        assert code == EXIT_DATA
+
     @pytest.mark.parametrize("tail,extra", [
         (b"\0" * 14, []),
         (b"", [("W2", np.eye(6, 8))]),

@@ -87,7 +87,9 @@ class TestReciprocal:
             k = int(rng.integers(1, min(12, n - 1)))
             dm = pairwise_cosine_distance(_unit(rng, n, 5))
             lists = knn(dm, k)
-            got = k_reciprocal_sets(lists).toarray().astype(bool)
+            recip = k_reciprocal_sets(lists)
+            assert recip.format == "csr"
+            got = recip.toarray().astype(bool)
             assert np.array_equal(got, reciprocal_membership(lists))
 
     def test_mutuality_is_symmetric(self, rng):

@@ -291,6 +291,16 @@ class TestCheckpoint:
         with pytest.raises(FeatureFileError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, rng, tmp_path, name, value):
+        params = _params(rng)
+        getattr(params, name).flat[1] = value
+        path = tmp_path / "x.mclp"
+        save_checkpoint(params, path)
+        with pytest.raises(FeatureFileError, match="non-finite"):
+            load_checkpoint(path)
+
     @given(seed=st.integers(0, 10_000), d_h=st.sampled_from([0, 3, 8]))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_bitwise_property(self, tmp_path_factory, seed, d_h):

@@ -1,22 +1,17 @@
 """Smoke runs of the scripts under scripts/ at tiny sizes."""
 
 import csv
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from .conftest import ROOT, src_env
 
 
 def _run(script, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+                           *args], env=src_env(), capture_output=True,
+                          text=True, timeout=120)
 
 
 def test_profile_scaling(tmp_path):

@@ -395,6 +395,11 @@ class TestHoldout:
         assert 1 not in evaluated
         assert np.all(evaluated == 2)
 
+    @pytest.mark.parametrize("fraction", [-3.0, -0.01, 1.0, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, small_pool, fraction):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            holdout_split(small_pool, fraction)
+
     def test_error_when_nothing_evaluable(self):
         feats = np.zeros((3, 4), dtype=np.float32)
         pool = Pool(feats, np.array([0, 0, 1]))  # identity 1 is a singleton
