@@ -4,10 +4,9 @@ Retrieval follows the usual closed-set protocol: rank the gallery by
 ascending cosine distance, AP = mean of precision at each relevant rank
 divided by the relevant count, CMC(k) = fraction of queries with a hit in
 the top k. Clustering quality is pairwise precision/recall/F plus ARI, with
-outliers treated as singleton clusters, read off a numpy contingency table
-(no scipy). The profiler wraps one distance + density-clustering pass and
-reports the exact pairwise-entry count (2 n^2 per pass), the analytic byte
-model (entries x 8), and median wall time.
+outliers treated as singleton clusters. The profiler wraps one distance +
+density-clustering pass and reports the exact pairwise-entry count (2 n^2
+per pass), the analytic byte model (entries x 8), and median wall time.
 """
 
 from __future__ import annotations
@@ -72,13 +71,13 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1.0) / 2.0
 
 
-def _contingency(pred: np.ndarray, true: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pred x true count table's nonzero cells (row-major), row sums and
-    column sums; rows and columns are the sorted distinct labels."""
+def _contingency(pred: np.ndarray, true: np.ndarray):
+    """The pred x true count table as CSR; scipy loads here, not at import."""
+    import scipy.sparse as sp
     _, pi = np.unique(pred, return_inverse=True)
-    true_labels, ti = np.unique(true, return_inverse=True)
-    _, cells = np.unique(pi * true_labels.size + ti, return_counts=True)
-    return cells, np.bincount(pi), np.bincount(ti)
+    _, ti = np.unique(true, return_inverse=True)
+    data = np.ones(len(pred))
+    return sp.coo_matrix((data, (pi, ti))).tocsr()
 
 
 def clustering_quality(assignment: np.ndarray,
@@ -86,13 +85,13 @@ def clustering_quality(assignment: np.ndarray,
     """(pairwise precision, recall, F, ARI); label -1 becomes its own singleton."""
     pred = _outliers_to_singletons(assignment)
     true = np.asarray(ground_truth, dtype=np.int64)
-    if pred.shape != true.shape or pred.size == 0:
-        raise ValueError("assignment and ground truth must align, non-empty")
+    if pred.shape != true.shape:
+        raise ValueError("assignment and ground truth must align")
     n = len(pred)
-    cells, pred_sizes, true_sizes = _contingency(pred, true)
-    tp = _comb2(cells).sum()
-    same_pred = _comb2(pred_sizes).sum()
-    same_true = _comb2(true_sizes).sum()
+    c = _contingency(pred, true)
+    tp = _comb2(c.data).sum()
+    same_pred = _comb2(np.asarray(c.sum(axis=1)).ravel()).sum()
+    same_true = _comb2(np.asarray(c.sum(axis=0)).ravel()).sum()
     precision = tp / same_pred if same_pred > 0 else 1.0
     recall = tp / same_true if same_true > 0 else 1.0
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -114,11 +113,11 @@ def labeling_correct_fraction(labels: np.ndarray, ground_truth: np.ndarray) -> f
     kept = labels >= 0
     if kept.sum() < 2:
         return float("nan")
-    cells, pred_sizes, _ = _contingency(labels[kept], true[kept])
-    same_pred = _comb2(pred_sizes).sum()
+    c = _contingency(labels[kept], true[kept])
+    same_pred = _comb2(np.asarray(c.sum(axis=1)).ravel()).sum()
     if same_pred == 0:
         return float("nan")
-    return float(_comb2(cells).sum() / same_pred)
+    return float(_comb2(c.data).sum() / same_pred)
 
 
 def profile_clustering(embeddings: np.ndarray, k: int = 30, eps: float = 0.7,

@@ -248,14 +248,14 @@ def load_checkpoint(path) -> EncoderParams:
         W2=sections["W2"], b2=sections["b2"],
     )
     # each layer is a (out, in) weight and an (out,) bias; out feeds the next in
-    tensors = [t for _, t in params.tensors()]
+    # and every value is finite
+    tensors = params.tensors()
     width = None
-    for w, b in zip(tensors[::2], tensors[1::2]):
+    for (w_name, w), (b_name, b) in zip(tensors[::2], tensors[1::2]):
         if w.ndim != 2 or b.shape != w.shape[:1] or width not in (None, w.shape[1]):
             shapes = {name: t.shape for name, t in sections.items()}
             raise FeatureFileError(f"{path}: checkpoint shapes do not chain: {shapes}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise FeatureFileError(f"{path}: non-finite values in {w_name}/{b_name}")
         width = w.shape[0]
-    bad = [name for name, t in params.tensors() if not np.isfinite(t).all()]
-    if bad:
-        raise FeatureFileError(f"{path}: non-finite values in checkpoint tensors {bad}")
     return params

@@ -5,7 +5,6 @@ loops, O(n^3) closures. None of it imports the package under test.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def knn_full_sort(dist, k):
@@ -171,49 +170,6 @@ def outliers_to_singletons(labels):
         start = labels.max(initial=-1) + 1
         labels[neg] = start + np.arange(neg.sum())
     return labels
-
-
-def contingency_csr(pred, true):
-    """The pred x true count table as a scipy CSR matrix, duplicates summed."""
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(true, return_inverse=True)
-    return sp.coo_matrix((np.ones(len(pred)), (pi, ti))).tocsr()
-
-
-def _comb2(x):
-    x = np.asarray(x, dtype=np.float64)
-    return x * (x - 1.0) / 2.0
-
-
-def csr_clustering_quality(assignment, truth):
-    """(precision, recall, F, ARI) with the same arithmetic as
-    `metrics.clustering_quality`, but read off `contingency_csr`."""
-    pred = outliers_to_singletons(np.asarray(assignment, dtype=np.int64))
-    c = contingency_csr(pred, truth)
-    tp = _comb2(c.data).sum()
-    same_pred = _comb2(np.asarray(c.sum(axis=1)).ravel()).sum()
-    same_true = _comb2(np.asarray(c.sum(axis=0)).ravel()).sum()
-    precision = tp / same_pred if same_pred > 0 else 1.0
-    recall = tp / same_true if same_true > 0 else 1.0
-    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    total = _comb2(np.array([len(pred)]))[0]
-    expected = same_pred * same_true / total if total > 0 else 0.0
-    denom = (same_pred + same_true) / 2.0 - expected
-    ari = (tp - expected) / denom if denom != 0 else 1.0
-    return float(precision), float(recall), float(f), float(ari)
-
-
-def csr_labeling_correct_fraction(labels, truth):
-    """`metrics.labeling_correct_fraction`'s arithmetic on `contingency_csr`."""
-    labels = np.asarray(labels, dtype=np.int64)
-    kept = labels >= 0
-    if kept.sum() < 2:
-        return float("nan")
-    c = contingency_csr(labels[kept], np.asarray(truth)[kept])
-    same_pred = _comb2(np.asarray(c.sum(axis=1)).ravel()).sum()
-    if same_pred == 0:
-        return float("nan")
-    return float(_comb2(c.data).sum() / same_pred)
 
 
 def relative_error(got, want):

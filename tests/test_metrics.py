@@ -17,8 +17,6 @@ from .oracles import (
     adjusted_rand,
     average_precision,
     cmc_curve,
-    csr_clustering_quality,
-    csr_labeling_correct_fraction,
     outliers_to_singletons,
     pairwise_quality,
 )
@@ -127,6 +125,11 @@ class TestClusteringQuality:
         with pytest.raises(ValueError):
             clustering_quality(np.zeros(3), np.zeros(4))
 
+    def test_empty_labeling_rejected(self):
+        with pytest.raises(ValueError):
+            clustering_quality(np.zeros(0, dtype=np.int64),
+                               np.zeros(0, dtype=np.int64))
+
 
 class TestLabelingFraction:
     def test_counts_only_labeled_pairs(self):
@@ -155,41 +158,6 @@ class TestLabelingFraction:
         true = rng.integers(0, 3, size=12)
         got = labeling_correct_fraction(labels, true)
         assert np.isnan(got) or 0.0 <= got <= 1.0
-
-
-def _labelings():
-    """Edge cases, then 600 random labelings over non-contiguous label sets
-    that often include the outlier label -1."""
-    rng = np.random.default_rng(11)
-    three = rng.integers(0, 3, size=9)
-    yield np.array([0]), np.array([5])
-    yield np.array([-1]), np.array([5])
-    yield np.array([4, 4]), np.array([1, 2])
-    yield np.array([-1, 3]), np.array([1, 1])
-    yield np.full(9, 7), three  # one cluster
-    yield np.full(9, -1), three  # all outliers
-    for _ in range(600):
-        n = int(rng.integers(1, 80))
-        pred_set = rng.choice(np.arange(-1, 500), size=rng.integers(1, 12),
-                              replace=False)
-        true_set = rng.choice(1000, size=rng.integers(1, 12), replace=False)
-        yield rng.choice(pred_set, size=n), rng.choice(true_set, size=n)
-
-
-class TestContingencyOracle:
-    def test_bitwise_equal_to_sparse_contingency(self):
-        for pred, true in _labelings():
-            assert clustering_quality(pred, true) == \
-                csr_clustering_quality(pred, true), (pred, true)
-            got = labeling_correct_fraction(pred, true)
-            want = csr_labeling_correct_fraction(pred, true)
-            assert got == want or (np.isnan(got) and np.isnan(want)), \
-                (pred, true)
-
-    def test_empty_labeling_rejected(self):
-        with pytest.raises(ValueError):
-            clustering_quality(np.zeros(0, dtype=np.int64),
-                               np.zeros(0, dtype=np.int64))
 
 
 class TestProfiler:
