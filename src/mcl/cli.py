@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .data import FeatureFileError, GenSpec, Pool, generate_pool, load_pool, \
     write_features
-from .metrics import compute_map_cmc
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
-from .trainer import NumericError, REGIMES, TrainConfig, holdout_split, train
+from .trainer import NumericError, REGIMES, TrainConfig, evaluate, \
+    holdout_split, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -206,10 +206,7 @@ def cmd_eval(args) -> int:
     else:
         params = load_checkpoint(args.checkpoint)
     _, query_pos, gallery_pos = holdout_split(pool, args.holdout)
-    qv = encode_batch(params, pool.features[query_pos].astype(np.float64))
-    gv = encode_batch(params, pool.features[gallery_pos].astype(np.float64))
-    mean_ap, cmc = compute_map_cmc(qv, gv, pool.identities[query_pos],
-                                   pool.identities[gallery_pos])
+    mean_ap, cmc = evaluate(params, pool, query_pos, gallery_pos)
     out = {"mean_ap": mean_ap, "rank1": float(cmc[0]),
            "rank5": float(cmc[4]) if cmc.size >= 5 else float(cmc[-1]),
            "cmc": [float(x) for x in cmc],
@@ -266,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="retrieval metrics for a checkpoint")
     e.add_argument("pool")
-    e.add_argument("--checkpoint")
-    e.add_argument("--identity-init", action="store_true",
-                   help="evaluate an untrained linear projection instead")
+    encoder = e.add_mutually_exclusive_group(required=True)
+    encoder.add_argument("--checkpoint")
+    encoder.add_argument("--identity-init", action="store_true",
+                         help="evaluate an untrained linear projection instead")
     e.add_argument("--d-emb", type=int, default=64)
     e.add_argument("--holdout", type=float, default=0.25)
     e.add_argument("-o", "--out", default=None)
@@ -283,13 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.command == "eval" and not args.identity_init and not args.checkpoint:
-        ap.error("eval needs --checkpoint or --identity-init")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FeatureFileError, NoClustersError, ValueError, OSError) as exc:

@@ -28,12 +28,6 @@ class LossValue:
             raise FloatingPointError(f"non-finite loss value {self.value}")
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def infonce_batch(v: np.ndarray, bank: PrototypeBank, labels: np.ndarray,
                   tau: float) -> LossValue:
     """Mean over rows of -log softmax_tau(v . w)[label]; grads['v'] is
@@ -48,9 +42,10 @@ def infonce_batch(v: np.ndarray, bank: PrototypeBank, labels: np.ndarray,
     w = bank.weights
     z = v @ w.T / tau
     m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    value = (lse - z[np.arange(n), labels]).mean()
-    p = _softmax(z)
+    e = np.exp(z - m[:, None])  # one pass feeds both log-sum-exp and softmax
+    s = e.sum(axis=1)
+    value = (m + np.log(s) - z[np.arange(n), labels]).mean()
+    p = e / s[:, None]
     p[np.arange(n), labels] -= 1.0
     grad_v = p @ w / (tau * n)
     return LossValue(float(value), {"v": grad_v})
@@ -76,12 +71,12 @@ def siamese_consistency_batch(f_s: np.ndarray, f_t: np.ndarray,
     w = bank.weights
     p_s = bank.soft_label_batch(f_s)
     p_t = bank.soft_label_batch(f_t)
-    y_s = p_s.copy()  # frozen targets
-    y_t = p_t.copy()
-    value = (_cross_entropy(p_s, y_t) + _cross_entropy(p_t, y_s)).mean()
-    # d CE(softmax(W f), y)/d f = W^T (p - y) for constant y
-    grad_s = (p_s - y_t) @ w / n
-    grad_t = (p_t - y_s) @ w / n
+    # each view's soft label is the other's target, read but never changed
+    value = (_cross_entropy(p_s, p_t) + _cross_entropy(p_t, p_s)).mean()
+    # d CE(softmax(W f), y)/d f = W^T (p - y) for constant y, and
+    # p_t - p_s is exactly -(p_s - p_t)
+    grad_s = (p_s - p_t) @ w / n
+    grad_t = -grad_s
     return LossValue(float(value), {"f_s": grad_s, "f_t": grad_t})
 
 

@@ -17,6 +17,8 @@ from .data import BadMagicError, FeatureFileError, TruncatedFileError
 
 NORM_FLOOR = 1e-12
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 CHECKPOINT_MAGIC = b"MCLP"
 CHECKPOINT_VERSION = 1
 
@@ -132,12 +134,9 @@ def augment_batch(x: np.ndarray, rng: np.random.Generator, sigma_aug: float,
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus hyperparameters; lr is mutated by the epoch schedule."""
+    """Adam moments, step size and decay; lr is mutated by the epoch schedule."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -158,19 +157,19 @@ def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
     """One in-place Adam update with bias correction and decoupled weight decay."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.tensors():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
         if state.weight_decay:
             p -= state.lr * state.weight_decay * p
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .cluster import ClusterAssignment, dbscan
-from .data import Pool
+from .data import GenSpec, Pool
 from .geometry import ENTRY_COUNTER, clustering_distance
 from .losses import LossValue, infonce_batch, phase2_total, \
     siamese_consistency_batch, soft_weighted_triplet_batch
@@ -149,7 +149,6 @@ class TrainConfig:
 
 
 def benchmark_genspec():
-    from .data import GenSpec
     return GenSpec(num_identities=200, samples_per_identity=30, d_raw=64,
                    intra_class_sigma=0.35, seed=1)
 
@@ -202,8 +201,9 @@ def _cluster_with_widening(d: np.ndarray, eps: float, min_pts: int,
 
     Stops at the first eps whose clustered (non-outlier) fraction reaches
     min_fraction; with the default 0 that means the first eps yielding any
-    cluster at all. Falls back to the widest assignment seen if the ceiling
-    is hit, and errors only when even that found nothing.
+    cluster at all. At the ceiling it falls back to the best coverage seen,
+    at the earliest eps that reached it, and errors only when no eps found
+    any cluster.
     """
     e = eps
     best: tuple[ClusterAssignment, float] | None = None
@@ -391,18 +391,12 @@ class TrainReport:
         return np.array([e.label_correct for e in self.epochs])
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "config": self.config,
-            "n_train": self.n_train,
-            "n_query": self.n_query,
-            "n_gallery": self.n_gallery,
-            "final_map": self.final_map,
-            "final_rank1": self.final_rank1,
-            "total_entries": self.total_entries,
-            "total_seconds": self.total_seconds,
-            "epochs": [asdict(e) for e in self.epochs],
-        }
+        d = asdict(self)
+        epochs = d.pop("epochs")  # last, after the run totals
+        return {**d, "final_map": self.final_map,
+                "final_rank1": self.final_rank1,
+                "total_entries": self.total_entries,
+                "total_seconds": self.total_seconds, "epochs": epochs}
 
 
 def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -432,6 +426,15 @@ def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.n
     return train_pos, np.array(query), np.array(gallery)
 
 
+def evaluate(params: EncoderParams, pool: Pool, query_pos: np.ndarray,
+             gallery_pos: np.ndarray) -> tuple[float, np.ndarray]:
+    """mAP and CMC of the encoded query rows retrieving the gallery rows."""
+    qv = encode_batch(params, pool.features[query_pos].astype(np.float64))
+    gv = encode_batch(params, pool.features[gallery_pos].astype(np.float64))
+    return compute_map_cmc(qv, gv, pool.identities[query_pos],
+                           pool.identities[gallery_pos])
+
+
 def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
           ) -> tuple[EncoderParams, TrainReport]:
     regime = regime.lower()
@@ -443,8 +446,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
     features = pool.features[train_pos].astype(np.float64)
     true_ids = pool.identities[train_pos]
     n = features.shape[0]
-    if n_subsets > n:
-        raise ValueError(f"n_subsets={n_subsets} exceeds pool size {n}")
+    fixed_subsets = epoch_split(n, n_subsets, config.seed)
     if config.p_identities * config.i_instances > math.ceil(n / n_subsets):
         raise ValueError("phase-1 batch larger than the meta-training subset; "
                          "lower p_identities/i_instances or n_subsets")
@@ -457,12 +459,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
     report = TrainReport(regime=regime, config=config.to_dict(),
                          n_train=n, n_query=query_pos.size,
                          n_gallery=gallery_pos.size)
-    q_feat = pool.features[query_pos].astype(np.float64)
-    g_feat = pool.features[gallery_pos].astype(np.float64)
-    q_ids = pool.identities[query_pos]
-    g_ids = pool.identities[gallery_pos]
 
-    fixed_subsets = epoch_split(n, n_subsets, config.seed)
     # naive: near-equal runs of epochs per fixed subset, longer runs first
     stages = np.array_split(np.arange(config.epochs), n_subsets)
     stage_of_epoch = np.repeat(np.arange(n_subsets), [s.size for s in stages])
@@ -498,12 +495,10 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
                 # stay disjoint
                 labels_full[p2.positions] = p2.hardened + bank.num_classes
             # the epoch's last update can be the one that diverges
-            qv = encode_batch(params, q_feat)
-            gv = encode_batch(params, g_feat)
+            mean_ap, cmc = evaluate(params, pool, query_pos, gallery_pos)
         except (FloatingPointError, DegenerateEmbeddingError) as exc:
             raise NumericError(f"epoch {epoch}: {exc}") from exc
 
-        mean_ap, cmc = compute_map_cmc(qv, gv, q_ids, g_ids)
         record = EpochRecord(
             epoch=epoch,
             n_phase1=int(x1.size),

@@ -3,6 +3,7 @@ import os
 # keep BLAS single-threaded: wall-clock criteria assume it, and it makes the
 # cost-ratio measurements stable (must be set before numpy loads)
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -91,6 +91,14 @@ class TestUsageErrors:
             main(["eval", pool_file])
         assert exc.value.code == 2
 
+    def test_eval_takes_one_encoder_only(self, pool_file, tmp_path):
+        ckpt = tmp_path / "c.mclp"
+        write_sections(ckpt, [("W2", np.eye(6, 8)), ("b2", np.zeros(6))])
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", pool_file, "--checkpoint", str(ckpt),
+                  "--identity-init"])
+        assert exc.value.code == 2
+
 
 class TestTrain:
     def test_artifacts(self, tmp_path, pool_file):
@@ -336,12 +344,18 @@ class TestEvalAndDump:
         printed = json.loads(capsys.readouterr().out)
         assert printed["mean_ap"] == got["mean_ap"]
 
-    def test_eval_trained_checkpoint(self, pool_file, tmp_path):
+    def test_eval_trained_checkpoint(self, pool_file, tmp_path, capsys):
+        # train's last evaluation and eval share one path and the default
+        # holdout, so the saved weights score exactly the reported mAP
         run = tmp_path / "run"
         main(["train", pool_file, "-o", str(run), "--seed", "0"] + TRAIN_FLAGS)
+        capsys.readouterr()
         code = main(["eval", pool_file, "--checkpoint",
                      str(run / "checkpoint.mclp")])
         assert code == EXIT_OK
+        report = json.loads((run / "report.json").read_text())
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["mean_ap"] == report["final_map"]
 
     def test_dump_embeddings(self, pool_file, tmp_path):
         run = tmp_path / "run"
@@ -380,6 +394,20 @@ class TestEvalAndDump:
                      "-o", str(tmp_path / "out")])
         assert code == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+    def test_overflowing_checkpoint_is_numeric_error(self, pool_file,
+                                                     tmp_path, capsys,
+                                                     command):
+        # finite weights whose products overflow: the encoder output is not
+        # finite, which is a numeric failure, not a file error
+        ckpt = tmp_path / "huge.mclp"
+        write_sections(ckpt, [("W2", np.full((6, 8), 1e308)),
+                              ("b2", np.zeros(6))])
+        code = main([command, pool_file, "--checkpoint", str(ckpt),
+                     "-o", str(tmp_path / "out")])
+        assert code == EXIT_NUMERIC
+        assert "non-finite encoder output" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ["-3", "1", "1.5"])
     def test_holdout_outside_unit_interval_is_data_error(self, pool_file,

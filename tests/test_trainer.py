@@ -180,10 +180,12 @@ class TestWidening:
 
     def test_falls_back_to_best_seen(self):
         # third block never clusters below the ceiling; coverage tops out
-        # at 2/3 and the widest adequate assignment is returned
+        # at 2/3, and the assignment at the earliest eps that reached it is
+        # returned, not the one at the ceiling
         dm = self._block_matrix([0.05, 0.45, 0.97])
         got, eps = _cluster_with_widening(dm, eps=0.1, min_pts=2,
                                           min_fraction=0.9)
+        assert 0.45 <= eps < 0.5
         assert got.num_clusters == 2
         assert got.num_outliers == 4
 
@@ -480,6 +482,10 @@ class TestTrain:
         cfg = _fast_config(p_identities=16, i_instances=16)
         with pytest.raises(ValueError, match="batch larger"):
             train(small_pool, cfg, regime="mcl")
+
+    def test_more_subsets_than_samples_rejected(self, small_pool):
+        with pytest.raises(ValueError, match="n_subsets"):
+            train(small_pool, _fast_config(n_subsets=500), regime="mcl")
 
     def test_numeric_failure_wrapped(self, small_pool, monkeypatch):
         def boom(*args, **kwargs):
