@@ -5,7 +5,7 @@ set), compare (the regime table + budget sweep), eval (retrieval metrics for
 a checkpoint), dump-embeddings (MCLF export for external plotting).
 
 Exit codes: 0 success, 2 usage error, 3 data/config error, 4 numeric
-failure. Seed precedence: --seed flag > config file > MCL_SEED env > 0.
+failure. Precedence: a flag > the --config file > the TrainConfig default.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .data import FeatureFileError, GenSpec, Pool, generate_pool, load_pool, \
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
-from .trainer import NumericError, REGIMES, TrainConfig, evaluate, \
-    holdout_split, train
+from .trainer import NumericError, REGIMES, TrainConfig, benchmark_genspec, \
+    evaluate, holdout_split, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,7 +45,7 @@ def _sha256(path) -> str:
 
 def _ratio_to_subsets(ratio: float) -> int:
     if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"--split-ratio must be in (0, 1], got {ratio}")
+        raise ValueError(f"meta-training fraction {ratio} outside (0, 1]")
     return max(1, round(1.0 / ratio))
 
 
@@ -58,15 +58,12 @@ _FLAG_NAMES = {
 }
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, skip=()) -> None:
     p.add_argument("--config", help="JSON file with TrainConfig fields")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-ratio", type=float, default=None,
-                   help="meta-training fraction r; maps to N = round(1/r)")
-    # one flag per field but seed, typed by its default (a bool is a switch);
-    # an unset flag reads None
+    # one flag per field not in skip, typed by its default (a bool is a
+    # switch); an unset flag reads None
     for f in fields(TrainConfig):
-        if f.name == "seed":
+        if f.name in skip:
             continue
         flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
         if isinstance(f.default, bool):
@@ -88,12 +85,6 @@ def _resolve_config(args) -> TrainConfig:
             value = getattr(args, f"cfg_{f.name}", None)
             if value is not None:
                 merged[f.name] = value
-        if args.split_ratio is not None:
-            merged["n_subsets"] = _ratio_to_subsets(args.split_ratio)
-        if args.seed is not None:
-            merged["seed"] = args.seed
-        elif os.environ.get("MCL_SEED"):
-            merged.setdefault("seed", int(os.environ["MCL_SEED"]))
     return TrainConfig.from_dict(merged)
 
 
@@ -161,9 +152,10 @@ def cmd_compare(args) -> int:
     pool = load_pool(args.pool)
     config = _resolve_config(args)
     ratios = sorted({float(r) for r in args.ratios.split(",")}, reverse=True)
-    for r in ratios:
-        if not 0.0 < r <= 1.0:
-            raise ValueError(f"meta-training fraction {r} outside (0, 1]")
+    subsets = {r: _ratio_to_subsets(r) for r in ratios}
+    if len(set(subsets.values())) < len(subsets):
+        raise ValueError(f"--ratios {args.ratios} gives two fractions the same "
+                         f"subset count: {subsets}")
     rows = []
     schemes: list[tuple[str, str, float]] = []
     if 1.0 in ratios:
@@ -174,7 +166,7 @@ def cmd_compare(args) -> int:
             schemes.append((f"naive@{r:g}", "naive", r))
     os.makedirs(args.out_dir, exist_ok=True)
     for name, regime, ratio in schemes:
-        cfg = replace(config, n_subsets=_ratio_to_subsets(ratio))
+        cfg = replace(config, n_subsets=subsets[ratio])
         _, report = train(pool, cfg, regime)
         per_pass = max(e.distance_entries for e in report.epochs)
         rows.append({
@@ -202,7 +194,7 @@ def cmd_compare(args) -> int:
 def cmd_eval(args) -> int:
     pool = load_pool(args.pool)
     if args.identity_init:
-        params = EncoderParams.identity_init(pool.d_raw, min(pool.d_raw, args.d_emb))
+        params = EncoderParams.identity_init(pool.d_raw, pool.d_raw)
     else:
         params = load_checkpoint(args.checkpoint)
     _, query_pos, gallery_pos = holdout_split(pool, args.holdout)
@@ -237,11 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic feature pool")
-    g.add_argument("--ids", type=int, default=200)
-    g.add_argument("--per-id", type=int, default=30)
-    g.add_argument("--dim", type=int, default=64)
-    g.add_argument("--sigma", type=float, default=0.35)
-    g.add_argument("--seed", type=int, default=1)
+    spec = benchmark_genspec()  # with no flags, gen writes the benchmark pool
+    g.add_argument("--ids", type=int, default=spec.num_identities)
+    g.add_argument("--per-id", type=int, default=spec.samples_per_identity)
+    g.add_argument("--dim", type=int, default=spec.d_raw)
+    g.add_argument("--sigma", type=float, default=spec.intra_class_sigma)
+    g.add_argument("--seed", type=int, default=spec.seed)
     g.add_argument("-o", "--out", required=True)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen)
@@ -258,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ratios", default="1.0,0.5,0.25",
                    help="comma list of meta-training fractions")
     c.add_argument("-o", "--out-dir", default="compare")
-    _add_train_flags(c)
+    _add_train_flags(c, skip=("n_subsets",))  # --ratios sets each scheme's N
     c.set_defaults(func=cmd_compare)
 
     e = sub.add_parser("eval", help="retrieval metrics for a checkpoint")
@@ -266,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     encoder = e.add_mutually_exclusive_group(required=True)
     encoder.add_argument("--checkpoint")
     encoder.add_argument("--identity-init", action="store_true",
-                         help="evaluate an untrained linear projection instead")
-    e.add_argument("--d-emb", type=int, default=64)
+                         help="evaluate the raw features instead")
     e.add_argument("--holdout", type=float, default=0.25)
     e.add_argument("-o", "--out", default=None)
     e.set_defaults(func=cmd_eval)

@@ -137,9 +137,6 @@ class TrainConfig:
         if not isinstance(d, dict):
             raise ValueError(
                 f"a config must be a JSON object, got {type(d).__name__}")
-        d = dict(d)
-        if "lambda" in d:  # the shorter alias in config files; the field wins
-            d.setdefault("lambda_tri", d.pop("lambda"))
         valid = set(cls.__dataclass_fields__)
         unknown = set(d) - valid
         if unknown:
@@ -437,7 +434,6 @@ def evaluate(params: EncoderParams, pool: Pool, query_pos: np.ndarray,
 
 def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
           ) -> tuple[EncoderParams, TrainReport]:
-    regime = regime.lower()
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     n_subsets = 1 if regime == "all" else config.n_subsets

@@ -2,14 +2,16 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
-from mcl.data import load_pool, read_features, write_features
+from mcl.data import generate_pool, load_pool, read_features, write_features
 from mcl.model import load_checkpoint, write_sections
-from mcl.trainer import NumericError
+from mcl.trainer import NumericError, benchmark_genspec
 
 
 @pytest.fixture
@@ -50,19 +52,29 @@ class TestGen:
         main(argv + ["-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_defaults_write_the_benchmark_pool(self, tmp_path):
+        out = tmp_path / "p.mclf"
+        assert main(["gen", "-o", str(out)]) == EXIT_OK
+        assert read_features(out) == generate_pool(benchmark_genspec())
+
     def test_invalid_spec_is_data_error(self, tmp_path):
         code = main(["gen", "--ids", "1", "-o", str(tmp_path / "p.mclf")])
         assert code == EXIT_DATA
 
 
 TRAIN_OPTIONS = [
-    "-h", "--help", "--config", "--seed", "--split-ratio", "--subsets",
+    "-h", "--help", "--config", "--subsets",
     "--epochs", "--warmup-epochs", "--p", "--i", "--p2", "--i2", "--momentum",
     "--margin", "--lambda", "--tau", "--eps", "--min-pts", "--k",
     "--min-cluster-fraction", "--lr", "--weight-decay", "--d-hidden",
-    "--d-emb", "--sigma-aug", "--drop-p", "--holdout", "--fixed-split",
-    "--shared-label-space", "--no-sc", "--plain-triplet",
+    "--d-emb", "--sigma-aug", "--drop-p", "--holdout", "--seed",
+    "--fixed-split", "--shared-label-space", "--no-sc", "--plain-triplet",
 ]
+
+
+def _verb_parsers():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return sub.choices
 
 
 @pytest.mark.parametrize("verb,own", [
@@ -70,9 +82,36 @@ TRAIN_OPTIONS = [
     ("compare", ["--ratios", "-o", "--out-dir"]),
 ])
 def test_training_verbs_option_strings(verb, own):
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
-    got = [opt for a in sub.choices[verb]._actions for opt in a.option_strings]
-    assert got == TRAIN_OPTIONS[:2] + own + TRAIN_OPTIONS[2:]
+    got = [opt for a in _verb_parsers()[verb]._actions
+           for opt in a.option_strings]
+    # compare's --ratios sets each scheme's subset count
+    skip = ["--subsets"] if verb == "compare" else []
+    assert got == TRAIN_OPTIONS[:2] + own + [
+        opt for opt in TRAIN_OPTIONS[2:] if opt not in skip]
+
+
+def _readme_command_line():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return section, section.split("```")[1]
+
+
+def test_readme_flags_are_options():
+    section, _ = _readme_command_line()
+    options = {opt for verb in _verb_parsers().values()
+               for a in verb._actions for opt in a.option_strings}
+    # a flag starts a word or follows a slash, as in "--p/--i"
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert mentioned and mentioned <= options, mentioned - options
+
+
+def test_readme_commands_parse():
+    _, block = _readme_command_line()
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["mcl"]]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)  # a usage error raises SystemExit
 
 
 class TestUsageErrors:
@@ -97,6 +136,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["eval", pool_file, "--checkpoint", str(ckpt),
                   "--identity-init"])
+        assert exc.value.code == 2
+
+    def test_eval_takes_no_d_emb(self, pool_file, tmp_path):
+        ckpt = tmp_path / "c.mclp"
+        write_sections(ckpt, [("W2", np.eye(6, 8)), ("b2", np.zeros(6))])
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", pool_file, "--checkpoint", str(ckpt),
+                  "--d-emb", "3"])
+        assert exc.value.code == 2
+
+    def test_compare_takes_no_subsets(self, pool_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", pool_file, "-o", str(tmp_path / "c"),
+                  "--subsets", "3"] + TRAIN_FLAGS)
         assert exc.value.code == 2
 
 
@@ -199,8 +252,8 @@ class TestTrain:
         cfg.write_text(json.dumps({
             "epochs": 2, "warmup_epochs": 0, "p_identities": 2,
             "i_instances": 2, "p2_identities": 2, "i2_instances": 2,
-            "k_neighbors": 6, "d_hidden": 8, "d_emb": 6, "lambda": 0.5,
-            "seed": 7, "min_cluster_fraction": 0.2,
+            "k_neighbors": 6, "d_hidden": 8, "d_emb": 6,
+            "lambda_tri": 0.5, "seed": 7, "min_cluster_fraction": 0.2,
         }))
         out = tmp_path / "run"
         code = main(["train", pool_file, "--config", str(cfg),
@@ -211,9 +264,9 @@ class TestTrain:
         assert report["config"]["lambda_tri"] == 0.5
         assert report["config"]["seed"] == 7  # file wins, no --seed given
 
-    def test_lambda_flag_beats_file_alias(self, pool_file, tmp_path):
+    def test_lambda_flag_beats_file(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda": 0.5}))
+        cfg.write_text(json.dumps({"lambda_tri": 0.5}))
         out = tmp_path / "run"
         code = main(["train", pool_file, "--config", str(cfg), "-o", str(out),
                      "--lambda", "0.9"] + TRAIN_FLAGS)
@@ -250,32 +303,15 @@ class TestTrain:
         assert config[name] is True
         assert [k for k, v in config.items() if v is True] == [name]
 
-    def test_seed_env_fallback(self, pool_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MCL_SEED", "11")
+    def test_seed_flag_beats_file(self, pool_file, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 11}))
         out = tmp_path / "run"
-        assert main(["train", pool_file, "-o", str(out)] + TRAIN_FLAGS) == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 11
-
-    def test_seed_flag_beats_env(self, pool_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MCL_SEED", "11")
-        out = tmp_path / "run"
-        main(["train", pool_file, "-o", str(out), "--seed", "4"] + TRAIN_FLAGS)
+        code = main(["train", pool_file, "--config", str(cfg), "-o", str(out),
+                     "--seed", "4"] + TRAIN_FLAGS)
+        assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 4
-
-    def test_split_ratio_maps_to_subsets(self, pool_file, tmp_path):
-        out = tmp_path / "run"
-        code = main(["train", pool_file, "-o", str(out),
-                     "--split-ratio", "0.25"] + TRAIN_FLAGS)
-        assert code == EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["n_subsets"] == 4
-
-    def test_bad_split_ratio(self, pool_file, tmp_path):
-        code = main(["train", pool_file, "-o", str(tmp_path / "r"),
-                     "--split-ratio", "1.5"] + TRAIN_FLAGS)
-        assert code == EXIT_DATA
 
     def test_regime_choices(self, pool_file, tmp_path):
         with pytest.raises(SystemExit):
@@ -316,7 +352,7 @@ class TestCompare:
 
     def test_manifest_hashes_config_file(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lambda": 0.5}))
+        cfg.write_text(json.dumps({"lambda_tri": 0.5}))
         out = tmp_path / "cmp"
         code = main(["compare", pool_file, "--ratios", "0.5", "--config",
                      str(cfg), "-o", str(out)] + TRAIN_FLAGS)
@@ -331,12 +367,20 @@ class TestCompare:
                      "-o", str(tmp_path / "c")] + TRAIN_FLAGS)
         assert code == EXIT_DATA
 
+    def test_ratios_with_one_subset_count(self, pool_file, tmp_path, capsys):
+        # 0.5 and 0.4 both round to N = 2: the same scheme under two labels
+        out = tmp_path / "c"
+        code = main(["compare", pool_file, "--ratios", "0.5,0.4",
+                     "-o", str(out)] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+        assert not (out / "compare.csv").exists()
+        assert "same subset count" in capsys.readouterr().err
+
 
 class TestEvalAndDump:
     def test_eval_identity_init(self, pool_file, tmp_path, capsys):
         out = tmp_path / "metrics.json"
-        code = main(["eval", pool_file, "--identity-init", "--d-emb", "6",
-                     "-o", str(out)])
+        code = main(["eval", pool_file, "--identity-init", "-o", str(out)])
         assert code == EXIT_OK
         got = json.loads(out.read_text())
         assert 0.0 <= got["mean_ap"] <= 1.0

@@ -64,9 +64,9 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
 
-    def test_from_dict_accepts_lambda_alias(self):
-        cfg = TrainConfig.from_dict({"lambda": 2.5, "epochs": 10})
-        assert cfg.lambda_tri == 2.5
+    def test_from_dict_rejects_lambda_alias(self):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            TrainConfig.from_dict({"lambda": 2.5, "epochs": 10})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config"):
