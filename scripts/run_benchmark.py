@@ -1,8 +1,9 @@
 """Train every scheme on the bundled benchmark and print the comparison.
 
 The default generator is deliberately hard (sigma 0.35 leaves same-identity
-pairs nearly orthogonal); pass --sigma 0.15 to watch the clustering flywheel
-actually ignite (pseudo-label precision >0.6 from epoch 1).
+pairs nearly orthogonal); pass --intra-class-sigma 0.15 to watch the
+clustering flywheel actually ignite (pseudo-label precision >0.6 from
+epoch 1).
 """
 
 import argparse
@@ -29,7 +30,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--schemes", default="all,mcl,naive",
                     help=f"comma list from {sorted(SCHEMES)} or 'full'")
-    ap.add_argument("--sigma", type=float, default=None,
+    ap.add_argument("--intra-class-sigma", type=float, default=None,
                     help="override the generator noise level")
     ap.add_argument("--epochs", type=int, default=None)
     ap.add_argument("--seed", type=int, default=None)
@@ -45,8 +46,8 @@ def main(argv=None):
         ap.error(f"unknown scheme(s): {bad}")
 
     spec = benchmark_genspec()
-    if args.sigma is not None:
-        spec = replace(spec, intra_class_sigma=args.sigma)
+    if args.intra_class_sigma is not None:
+        spec = replace(spec, intra_class_sigma=args.intra_class_sigma)
     pool = generate_pool(spec)
     print(f"pool: {pool} sigma={spec.intra_class_sigma}")
 

@@ -22,25 +22,25 @@ from mcl.trainer import benchmark_genspec
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--ids", type=int, default=50)
-    ap.add_argument("--per-id", type=int, default=20)
-    ap.add_argument("--sigma", type=float, default=0.15)
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
+    ap.add_argument("--num-identities", type=int, default=50)
+    ap.add_argument("--samples-per-identity", type=int, default=20)
+    ap.add_argument("--intra-class-sigma", type=float, default=0.15)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--k", type=int, default=30)
+    ap.add_argument("--k-neighbors", type=int, default=30)
     ap.add_argument("--eps", default="0.4,0.5,0.6,0.7,0.8,0.9")
     ap.add_argument("--min-pts", default="2,4,6")
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
 
-    spec = replace(benchmark_genspec(), num_identities=args.ids,
-                   samples_per_identity=args.per_id,
-                   intra_class_sigma=args.sigma, seed=args.seed)
+    spec = replace(benchmark_genspec(), num_identities=args.num_identities,
+                   samples_per_identity=args.samples_per_identity,
+                   intra_class_sigma=args.intra_class_sigma, seed=args.seed)
     pool = generate_pool(spec)
-    print(f"pool: {pool} sigma={args.sigma}")
+    print(f"pool: {pool} sigma={spec.intra_class_sigma}")
     x = pool.features.astype("float64")
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    dm = clustering_distance(x, k=args.k)
+    dm = clustering_distance(x, k=args.k_neighbors)
 
     rows = []
     for eps in (float(e) for e in args.eps.split(",")):

@@ -4,6 +4,9 @@ Verbs: gen (synthesize a feature pool), train (one regime, full artifact
 set), compare (the regime table + budget sweep), eval (retrieval metrics for
 a checkpoint), dump-embeddings (MCLF export for external plotting).
 
+A flag that sets a TrainConfig or GenSpec field is --<field-name>, and no
+flag may be abbreviated; compare's --n-subsets lists the subset counts N.
+
 Exit codes: 0 success, 2 usage error, 3 data/config error, 4 numeric
 failure. Precedence: a flag > the --config file > the TrainConfig default.
 """
@@ -43,48 +46,37 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _ratio_to_subsets(ratio: float) -> int:
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"meta-training fraction {ratio} outside (0, 1]")
-    return max(1, round(1.0 / ratio))
-
-
-# TrainConfig fields whose flag is not --<field-name>
-_FLAG_NAMES = {
-    "n_subsets": "--subsets", "p_identities": "--p", "i_instances": "--i",
-    "p2_identities": "--p2", "i2_instances": "--i2",
-    "momentum_m": "--momentum", "lambda_tri": "--lambda",
-    "k_neighbors": "--k", "holdout_fraction": "--holdout",
-}
-
-
-def _add_train_flags(p: argparse.ArgumentParser, skip=()) -> None:
-    p.add_argument("--config", help="JSON file with TrainConfig fields")
-    # one flag per field not in skip, typed by its default (a bool is a
-    # switch); an unset flag reads None
-    for f in fields(TrainConfig):
+def _add_field_flags(p: argparse.ArgumentParser, defaults, skip=()) -> None:
+    """One --<field-name> flag per field of the dataclass instance defaults
+    not in skip, typed by its value there (a bool is a switch); an unset
+    flag reads None."""
+    for f in fields(defaults):
         if f.name in skip:
             continue
-        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-        if isinstance(f.default, bool):
-            p.add_argument(flag, dest=f"cfg_{f.name}", action="store_true",
-                           default=None)
-        else:
-            p.add_argument(flag, dest=f"cfg_{f.name}", type=type(f.default),
-                           default=None)
+        kind = type(getattr(defaults, f.name))
+        how = {"action": "store_true"} if kind is bool else {"type": kind}
+        p.add_argument("--" + f.name.replace("_", "-"), default=None, **how)
 
 
-def _resolve_config(args) -> TrainConfig:
-    """The config file's fields with the set flags on top, validated once."""
+def _given(args, cls) -> dict:
+    """The fields of the dataclass cls whose flag was set."""
+    flags = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _resolve_config(args, skip=()) -> TrainConfig:
+    """The config file's fields with the set flags on top, validated once.
+    The verb sets the fields in skip itself, so the file may not."""
     merged = {}
     if args.config:
         with open(args.config) as fh:
             merged = json.load(fh)
     if isinstance(merged, dict):  # from_dict rejects anything else
-        for f in fields(TrainConfig):
-            value = getattr(args, f"cfg_{f.name}", None)
-            if value is not None:
-                merged[f.name] = value
+        for name in skip:
+            if name in merged:
+                raise ValueError(f"{args.config} sets {name}, which this verb "
+                                 f"takes from --{name.replace('_', '-')} only")
+        merged.update(_given(args, TrainConfig))
     return TrainConfig.from_dict(merged)
 
 
@@ -98,7 +90,7 @@ def _write_csv(path, header: list[str], rows) -> None:
 def _write_manifest(args, config: TrainConfig, outputs: list[str]) -> None:
     """manifest.json in the run's directory: how to redo it and what it read."""
     manifest = {
-        "command": sys.argv[1:], "config": config.to_dict(),
+        "command": args.argv, "config": config.to_dict(),
         "seed": config.seed, "outputs": outputs, "version": __version__,
         "input_hashes": {path: _sha256(path)
                          for path in (args.pool, args.config) if path},
@@ -112,9 +104,7 @@ def cmd_gen(args) -> int:
     if os.path.exists(args.out) and not args.force:
         print(f"refusing to overwrite {args.out} (use --force)", file=sys.stderr)
         return EXIT_DATA
-    spec = GenSpec(num_identities=args.ids, samples_per_identity=args.per_id,
-                   d_raw=args.dim, intra_class_sigma=args.sigma, seed=args.seed)
-    pool = generate_pool(spec)
+    pool = generate_pool(replace(benchmark_genspec(), **_given(args, GenSpec)))
     write_features(pool, args.out, include_labels=True)
     print(f"wrote {len(pool)} samples x {pool.d_raw} dims to {args.out}")
     return EXIT_OK
@@ -131,16 +121,12 @@ def cmd_train(args) -> int:
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    _write_csv(os.path.join(out, "metrics.csv"),
-               ["epoch", "mAP", "rank1", "entries", "seconds"],
-               ([e.epoch, f"{e.mean_ap:.6f}", f"{e.rank1:.6f}",
-                 e.distance_entries, f"{e.seconds:.6f}"] for e in report.epochs))
     _write_csv(os.path.join(out, "cost.csv"),
                ["epoch", "distance_entries", "peak_bytes", "seconds"],
                ([e.epoch, e.distance_entries, e.distance_entries * 8,
                  f"{e.seconds:.6f}"] for e in report.epochs))
     _write_manifest(args, config,
-                    ["checkpoint.mclp", "report.json", "metrics.csv", "cost.csv"])
+                    ["checkpoint.mclp", "report.json", "cost.csv"])
     print(f"{args.regime}: final mAP {report.final_map:.4f} "
           f"rank1 {report.final_rank1:.4f} "
           f"entries {report.total_entries} "
@@ -150,27 +136,20 @@ def cmd_train(args) -> int:
 
 def cmd_compare(args) -> int:
     pool = load_pool(args.pool)
-    config = _resolve_config(args)
-    ratios = sorted({float(r) for r in args.ratios.split(",")}, reverse=True)
-    subsets = {r: _ratio_to_subsets(r) for r in ratios}
-    if len(set(subsets.values())) < len(subsets):
-        raise ValueError(f"--ratios {args.ratios} gives two fractions the same "
-                         f"subset count: {subsets}")
-    rows = []
-    schemes: list[tuple[str, str, float]] = []
-    if 1.0 in ratios:
-        schemes.append(("all", "all", 1.0))
-    for r in ratios:
-        if r < 1.0:
-            schemes.append((f"mcl@{r:g}", "mcl", r))
-            schemes.append((f"naive@{r:g}", "naive", r))
+    config = _resolve_config(args, skip=("n_subsets",))
+    # every scheme's config is built, so validated, before any training
+    schemes = []
+    for n in sorted({int(count) for count in args.subset_counts.split(",")}):
+        for regime in ("mcl", "naive") if n > 1 else ("all",):
+            schemes.append((f"{regime}@{n}" if n > 1 else "all", regime,
+                            replace(config, n_subsets=n)))
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, regime, ratio in schemes:
-        cfg = replace(config, n_subsets=subsets[ratio])
+    rows = []
+    for name, regime, cfg in schemes:
         _, report = train(pool, cfg, regime)
         per_pass = max(e.distance_entries for e in report.epochs)
         rows.append({
-            "scheme": name, "ratio": ratio,
+            "scheme": name, "n_subsets": cfg.n_subsets,
             "mAP": report.final_map, "rank1": report.final_rank1,
             "entries": report.total_entries, "peak_bytes": per_pass * 8,
             "seconds": report.total_seconds,
@@ -197,7 +176,7 @@ def cmd_eval(args) -> int:
         params = EncoderParams.identity_init(pool.d_raw, pool.d_raw)
     else:
         params = load_checkpoint(args.checkpoint)
-    _, query_pos, gallery_pos = holdout_split(pool, args.holdout)
+    _, query_pos, gallery_pos = holdout_split(pool, args.holdout_fraction)
     mean_ap, cmc = evaluate(params, pool, query_pos, gallery_pos)
     out = {"mean_ap": mean_ap, "rank1": float(cmc[0]),
            "rank5": float(cmc[4]) if cmc.size >= 5 else float(cmc[-1]),
@@ -228,43 +207,43 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen", help="generate a synthetic feature pool")
-    spec = benchmark_genspec()  # with no flags, gen writes the benchmark pool
-    g.add_argument("--ids", type=int, default=spec.num_identities)
-    g.add_argument("--per-id", type=int, default=spec.samples_per_identity)
-    g.add_argument("--dim", type=int, default=spec.d_raw)
-    g.add_argument("--sigma", type=float, default=spec.intra_class_sigma)
-    g.add_argument("--seed", type=int, default=spec.seed)
+    def verb(name, text):  # no abbreviations: one spelling per option
+        return sub.add_parser(name, help=text, allow_abbrev=False)
+
+    g = verb("gen", "generate a synthetic feature pool")
+    _add_field_flags(g, benchmark_genspec())
     g.add_argument("-o", "--out", required=True)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen)
 
-    t = sub.add_parser("train", help="train one regime and emit artifacts")
+    t = verb("train", "train one regime and emit artifacts")
     t.add_argument("pool")
     t.add_argument("--regime", choices=REGIMES, default="mcl")
     t.add_argument("-o", "--out-dir", default="run")
-    _add_train_flags(t)
     t.set_defaults(func=cmd_train)
 
-    c = sub.add_parser("compare", help="regime comparison table + budget sweep")
+    c = verb("compare", "regime comparison table + budget sweep")
     c.add_argument("pool")
-    c.add_argument("--ratios", default="1.0,0.5,0.25",
-                   help="comma list of meta-training fractions")
+    c.add_argument("--n-subsets", dest="subset_counts", default="1,2,4",
+                   help="comma list of subset counts N; N = 1 is 'all'")
     c.add_argument("-o", "--out-dir", default="compare")
-    _add_train_flags(c, skip=("n_subsets",))  # --ratios sets each scheme's N
     c.set_defaults(func=cmd_compare)
+    for p, skip in ((t, ()), (c, ("n_subsets",))):
+        p.add_argument("--config", help="JSON file with TrainConfig fields")
+        _add_field_flags(p, TrainConfig(), skip)
 
-    e = sub.add_parser("eval", help="retrieval metrics for a checkpoint")
+    e = verb("eval", "retrieval metrics for a checkpoint")
     e.add_argument("pool")
     encoder = e.add_mutually_exclusive_group(required=True)
     encoder.add_argument("--checkpoint")
     encoder.add_argument("--identity-init", action="store_true",
                          help="evaluate the raw features instead")
-    e.add_argument("--holdout", type=float, default=0.25)
+    e.add_argument("--holdout-fraction", type=float,
+                   default=TrainConfig.holdout_fraction)
     e.add_argument("-o", "--out", default=None)
     e.set_defaults(func=cmd_eval)
 
-    d = sub.add_parser("dump-embeddings", help="export encoded pool as MCLF")
+    d = verb("dump-embeddings", "export encoded pool as MCLF")
     d.add_argument("pool")
     d.add_argument("--checkpoint", required=True)
     d.add_argument("-o", "--out", required=True)
@@ -273,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest's command
     try:
         return args.func(args)
     except (NumericError, FloatingPointError) as exc:

@@ -137,6 +137,8 @@ def generate_pool(spec: GenSpec) -> Pool:
 
 def write_features(pool: Pool, path, include_labels: bool = True) -> None:
     """Write a pool as an MCLF file (bit-exact round trip with read_features)."""
+    if include_labels and (pool.identities >= 1 << 32).any():
+        raise ValueError("an identity of 2**32 or more overflows MCLF's labels")
     flags = FLAG_LABELS if include_labels else 0
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, flags, len(pool), pool.d_raw))

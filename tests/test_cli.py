@@ -3,13 +3,15 @@
 import csv
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
-from mcl.data import generate_pool, load_pool, read_features, write_features
+from mcl.data import GenSpec, generate_pool, load_pool, read_features, \
+    write_features
 from mcl.model import load_checkpoint, write_sections
 from mcl.trainer import NumericError, benchmark_genspec
 
@@ -21,16 +23,19 @@ def pool_file(tmp_path, tiny_pool):
     return str(path)
 
 
-TRAIN_FLAGS = ["--epochs", "2", "--warmup-epochs", "0", "--p", "2", "--i", "2",
-               "--p2", "2", "--i2", "2", "--k", "6", "--d-hidden", "8",
+TRAIN_FLAGS = ["--epochs", "2", "--warmup-epochs", "0", "--p-identities", "2",
+               "--i-instances", "2", "--p2-identities", "2",
+               "--i2-instances", "2", "--k-neighbors", "6", "--d-hidden", "8",
                "--d-emb", "6", "--min-cluster-fraction", "0.2"]
 
 
 class TestGen:
     def test_writes_pool(self, tmp_path):
         out = tmp_path / "p.mclf"
-        code = main(["gen", "--ids", "6", "--per-id", "4", "--dim", "8",
-                     "--sigma", "0.2", "--seed", "3", "-o", str(out)])
+        code = main(["gen", "--num-identities", "6",
+                     "--samples-per-identity", "4", "--d-raw", "8",
+                     "--intra-class-sigma", "0.2", "--seed", "3",
+                     "-o", str(out)])
         assert code == EXIT_OK
         pool = read_features(out)
         assert len(pool) == 24
@@ -38,16 +43,20 @@ class TestGen:
 
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         out = tmp_path / "p.mclf"
-        main(["gen", "--ids", "4", "--per-id", "2", "-o", str(out)])
-        code = main(["gen", "--ids", "4", "--per-id", "2", "-o", str(out)])
+        main(["gen", "--num-identities", "4",
+                     "--samples-per-identity", "2", "-o", str(out)])
+        code = main(["gen", "--num-identities", "4",
+                     "--samples-per-identity", "2", "-o", str(out)])
         assert code == EXIT_DATA
         assert "refusing" in capsys.readouterr().err
-        assert main(["gen", "--ids", "4", "--per-id", "2", "-o", str(out),
+        assert main(["gen", "--num-identities", "4",
+                     "--samples-per-identity", "2", "-o", str(out),
                      "--force"]) == EXIT_OK
 
     def test_byte_identical_for_same_seed(self, tmp_path):
         a, b = tmp_path / "a.mclf", tmp_path / "b.mclf"
-        argv = ["gen", "--ids", "5", "--per-id", "3", "--seed", "9"]
+        argv = ["gen", "--num-identities", "5", "--samples-per-identity", "3",
+                "--seed", "9"]
         main(argv + ["-o", str(a)])
         main(argv + ["-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
@@ -58,17 +67,19 @@ class TestGen:
         assert read_features(out) == generate_pool(benchmark_genspec())
 
     def test_invalid_spec_is_data_error(self, tmp_path):
-        code = main(["gen", "--ids", "1", "-o", str(tmp_path / "p.mclf")])
+        code = main(["gen", "--num-identities", "1",
+                     "-o", str(tmp_path / "p.mclf")])
         assert code == EXIT_DATA
 
 
 TRAIN_OPTIONS = [
-    "-h", "--help", "--config", "--subsets",
-    "--epochs", "--warmup-epochs", "--p", "--i", "--p2", "--i2", "--momentum",
-    "--margin", "--lambda", "--tau", "--eps", "--min-pts", "--k",
-    "--min-cluster-fraction", "--lr", "--weight-decay", "--d-hidden",
-    "--d-emb", "--sigma-aug", "--drop-p", "--holdout", "--seed",
-    "--fixed-split", "--shared-label-space", "--no-sc", "--plain-triplet",
+    "-h", "--help", "--config", "--n-subsets", "--epochs", "--warmup-epochs",
+    "--p-identities", "--i-instances", "--p2-identities", "--i2-instances",
+    "--momentum-m", "--margin", "--lambda-tri", "--tau", "--eps", "--min-pts",
+    "--k-neighbors", "--min-cluster-fraction", "--lr", "--weight-decay",
+    "--d-hidden", "--d-emb", "--sigma-aug", "--drop-p", "--holdout-fraction",
+    "--seed", "--fixed-split", "--shared-label-space", "--no-sc",
+    "--plain-triplet",
 ]
 
 
@@ -79,15 +90,37 @@ def _verb_parsers():
 
 @pytest.mark.parametrize("verb,own", [
     ("train", ["--regime", "-o", "--out-dir"]),
-    ("compare", ["--ratios", "-o", "--out-dir"]),
+    ("compare", ["--n-subsets", "-o", "--out-dir"]),
 ])
 def test_training_verbs_option_strings(verb, own):
     got = [opt for a in _verb_parsers()[verb]._actions
            for opt in a.option_strings]
-    # compare's --ratios sets each scheme's subset count
-    skip = ["--subsets"] if verb == "compare" else []
+    # compare's own --n-subsets, a list, takes the field flag's place
+    skip = ["--n-subsets"] if verb == "compare" else []
     assert got == TRAIN_OPTIONS[:2] + own + [
         opt for opt in TRAIN_OPTIONS[2:] if opt not in skip]
+
+
+def test_gen_option_strings():
+    got = [opt for a in _verb_parsers()["gen"]._actions
+           for opt in a.option_strings]
+    assert got == ["-h", "--help"] + [
+        "--" + f.name.replace("_", "-") for f in fields(GenSpec)] + [
+        "-o", "--out", "--force"]
+
+
+@pytest.mark.parametrize("verb,flag,value", [
+    ("train", "--lambda-tri", "-1"),
+    ("compare", "--n-subsets", "0"),
+    ("gen", "--num-identities", "1"),
+])
+def test_validation_error_names_the_flag(pool_file, tmp_path, capsys, verb,
+                                         flag, value):
+    pool = [] if verb == "gen" else [pool_file]
+    code = main([verb, *pool, flag, value, "-o", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    field = flag[2:].replace("-", "_")
+    assert f"error: {field} must" in capsys.readouterr().err
 
 
 def _readme_command_line():
@@ -146,6 +179,25 @@ class TestUsageErrors:
                   "--d-emb", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("verb,flag,value", [
+        ("train", "--subsets", "2"), ("train", "--p", "2"),
+        ("train", "--i", "2"), ("train", "--p2", "2"), ("train", "--i2", "2"),
+        ("train", "--momentum", "0.2"), ("train", "--lambda", "0.9"),
+        ("train", "--k", "6"), ("train", "--holdout", "0.25"),
+        ("compare", "--ratios", "0.5"), ("eval", "--holdout", "0.25"),
+        ("gen", "--ids", "4"), ("gen", "--per-id", "2"),
+        ("gen", "--dim", "8"), ("gen", "--sigma", "0.2"),
+    ])
+    def test_short_names_are_gone(self, pool_file, tmp_path, verb, flag,
+                                  value):
+        # no alias and no abbreviation: --lambda is not --lambda-tri
+        pool = [] if verb == "gen" else [pool_file]
+        extra = ["--identity-init"] if verb == "eval" else []
+        with pytest.raises(SystemExit) as exc:
+            main([verb, *pool, *extra, flag, value,
+                  "-o", str(tmp_path / "out")])
+        assert exc.value.code == 2
+
     def test_compare_takes_no_subsets(self, pool_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["compare", pool_file, "-o", str(tmp_path / "c"),
@@ -164,10 +216,6 @@ class TestTrain:
         report = json.loads((out / "report.json").read_text())
         assert report["regime"] == "mcl"
         assert len(report["epochs"]) == 2
-        with open(out / "metrics.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2
-        assert set(rows[0]) == {"epoch", "mAP", "rank1", "entries", "seconds"}
         with open(out / "cost.csv") as fh:
             cost = list(csv.DictReader(fh))
         assert int(cost[0]["peak_bytes"]) == int(cost[0]["distance_entries"]) * 8
@@ -175,7 +223,19 @@ class TestTrain:
         assert manifest["seed"] == 0
         assert pool_file in manifest["input_hashes"]
         assert len(manifest["input_hashes"][pool_file]) == 64
-        assert "checkpoint.mclp" in manifest["outputs"]
+        assert manifest["outputs"] == ["checkpoint.mclp", "report.json",
+                                       "cost.csv"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["outputs"] + ["manifest.json"])
+
+    def test_manifest_records_parsed_command(self, pool_file, tmp_path,
+                                             monkeypatch):
+        monkeypatch.setattr("sys.argv", ["host", "--unrelated"])
+        out = tmp_path / "run"
+        argv = ["train", pool_file, "-o", str(out)] + TRAIN_FLAGS
+        assert main(argv) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv
 
     def test_missing_pool_is_data_error(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "absent.mclf")] + TRAIN_FLAGS)
@@ -269,7 +329,7 @@ class TestTrain:
         cfg.write_text(json.dumps({"lambda_tri": 0.5}))
         out = tmp_path / "run"
         code = main(["train", pool_file, "--config", str(cfg), "-o", str(out),
-                     "--lambda", "0.9"] + TRAIN_FLAGS)
+                     "--lambda-tri", "0.9"] + TRAIN_FLAGS)
         assert code == EXIT_OK
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["lambda_tri"] == 0.9
@@ -327,13 +387,14 @@ class TestTrain:
 class TestCompare:
     def test_table_and_budget_sweep(self, pool_file, tmp_path):
         out = tmp_path / "cmp"
-        code = main(["compare", pool_file, "--ratios", "1.0,0.5",
+        code = main(["compare", pool_file, "--n-subsets", "1,2",
                      "-o", str(out)] + TRAIN_FLAGS)
         assert code == EXIT_OK
         with open(out / "compare.csv") as fh:
             rows = list(csv.DictReader(fh))
         schemes = [r["scheme"] for r in rows]
-        assert schemes == ["all", "mcl@0.5", "naive@0.5"]
+        assert schemes == ["all", "mcl@2", "naive@2"]
+        assert [int(r["n_subsets"]) for r in rows] == [1, 2, 2]
         for r in rows:
             assert 0.0 <= float(r["mAP"]) <= 1.0
             assert int(r["peak_bytes"]) > 0
@@ -341,20 +402,20 @@ class TestCompare:
         by = {r["scheme"]: r for r in rows}
         n = 24  # tiny_pool train rows (6 of 8 identities x 4 samples)
         assert int(by["all"]["peak_bytes"]) == 2 * n * n * 8
-        assert int(by["mcl@0.5"]["peak_bytes"]) == 2 * (n // 2) ** 2 * 8
+        assert int(by["mcl@2"]["peak_bytes"]) == 2 * (n // 2) ** 2 * 8
         with open(out / "budget_sweep.csv") as fh:
             sweep = list(csv.DictReader(fh))
         budgets = [int(r["budget_bytes"]) for r in sweep]
         assert budgets == sorted(budgets)
         best_small = sweep[0]
-        assert best_small["scheme"] in ("mcl@0.5", "naive@0.5")
+        assert best_small["scheme"] in ("mcl@2", "naive@2")
         assert (out / "manifest.json").exists()
 
     def test_manifest_hashes_config_file(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lambda_tri": 0.5}))
         out = tmp_path / "cmp"
-        code = main(["compare", pool_file, "--ratios", "0.5", "--config",
+        code = main(["compare", pool_file, "--n-subsets", "2", "--config",
                      str(cfg), "-o", str(out)] + TRAIN_FLAGS)
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
@@ -362,19 +423,33 @@ class TestCompare:
         assert all(len(h) == 64 for h in manifest["input_hashes"].values())
         assert manifest["outputs"] == ["compare.csv", "budget_sweep.csv"]
 
-    def test_bad_ratio_list(self, pool_file, tmp_path):
-        code = main(["compare", pool_file, "--ratios", "2.0",
-                     "-o", str(tmp_path / "c")] + TRAIN_FLAGS)
-        assert code == EXIT_DATA
-
-    def test_ratios_with_one_subset_count(self, pool_file, tmp_path, capsys):
-        # 0.5 and 0.4 both round to N = 2: the same scheme under two labels
+    def test_bad_subset_count_list(self, pool_file, tmp_path):
         out = tmp_path / "c"
-        code = main(["compare", pool_file, "--ratios", "0.5,0.4",
+        code = main(["compare", pool_file, "--n-subsets", "0",
                      "-o", str(out)] + TRAIN_FLAGS)
         assert code == EXIT_DATA
         assert not (out / "compare.csv").exists()
-        assert "same subset count" in capsys.readouterr().err
+
+    def test_repeated_subset_count(self, pool_file, tmp_path):
+        out = tmp_path / "c"
+        code = main(["compare", pool_file, "--n-subsets", "2,2",
+                     "-o", str(out)] + TRAIN_FLAGS)
+        assert code == EXIT_OK
+        with open(out / "compare.csv") as fh:
+            schemes = [r["scheme"] for r in csv.DictReader(fh)]
+        assert schemes == ["mcl@2", "naive@2"]
+
+    def test_config_file_subset_count_is_data_error(self, pool_file,
+                                                    tmp_path, capsys):
+        # every scheme runs at its own N, so the file's would be ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_subsets": 3}))
+        out = tmp_path / "c"
+        code = main(["compare", pool_file, "--n-subsets", "2", "--config",
+                     str(cfg), "-o", str(out)] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+        assert not (out / "compare.csv").exists()
+        assert "--n-subsets" in capsys.readouterr().err
 
 
 class TestEvalAndDump:
@@ -457,7 +532,7 @@ class TestEvalAndDump:
     def test_holdout_outside_unit_interval_is_data_error(self, pool_file,
                                                          fraction):
         code = main(["eval", pool_file, "--identity-init",
-                     "--holdout", fraction])
+                     "--holdout-fraction", fraction])
         assert code == EXIT_DATA
 
     @pytest.mark.parametrize("tail,extra", [

@@ -119,6 +119,16 @@ class TestMCLFRoundTrip:
         else:
             assert np.array_equal(back.identities, np.zeros(n, dtype=np.int64))
 
+    def test_identity_beyond_32_bits_is_refused(self, tmp_path):
+        # the labels are stored as u32: 2**32 + 1 would read back as 1
+        path = tmp_path / "x.mclf"
+        pool = Pool(np.zeros((2, 3), dtype=np.float32), [1, 2**32 + 1])
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            write_features(pool, path)
+        assert not path.exists()
+        write_features(pool, path, include_labels=False)
+        assert len(read_features(path)) == 2
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.mclf"
         path.write_bytes(b"NOPE" + b"\0" * 32)

@@ -28,7 +28,8 @@ def test_profile_scaling(tmp_path):
 
 def test_sweep_dbscan(tmp_path):
     out = tmp_path / "sweep.csv"
-    done = _run("sweep_dbscan.py", "--ids", "10", "--per-id", "8", "--k", "5",
+    done = _run("sweep_dbscan.py", "--num-identities", "10",
+                "--samples-per-identity", "8", "--k-neighbors", "5",
                 "-o", str(out))
     assert done.returncode == 0, done.stderr
     with open(out, newline="") as fh:
