@@ -19,7 +19,7 @@ from mcl.metrics import profile_clustering
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--sizes", default="2000,8000,20000",
                     help="comma list of pool sizes")
     ap.add_argument("--fractions", default="1.0,0.5,0.25")

@@ -10,10 +10,9 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
 
-from mcl.data import generate_pool
-from mcl.trainer import benchmark_config, benchmark_genspec, train
+from mcl.data import GenSpec, generate_pool
+from mcl.trainer import TrainConfig, train
 
 SCHEMES = {
     "all": ({}, "all"),
@@ -27,13 +26,14 @@ SCHEMES = {
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--schemes", default="all,mcl,naive",
                     help=f"comma list from {sorted(SCHEMES)} or 'full'")
-    ap.add_argument("--intra-class-sigma", type=float, default=None,
-                    help="override the generator noise level")
-    ap.add_argument("--epochs", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--intra-class-sigma", type=float,
+                    default=GenSpec.intra_class_sigma,
+                    help="the generator noise level")
+    ap.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    ap.add_argument("--seed", type=int, default=TrainConfig.seed)
     ap.add_argument("--series", action="store_true",
                     help="also print the per-epoch correct-pair fraction")
     ap.add_argument("-o", "--csv", default=None, help="write rows here")
@@ -45,22 +45,16 @@ def main(argv=None):
     if bad:
         ap.error(f"unknown scheme(s): {bad}")
 
-    spec = benchmark_genspec()
-    if args.intra_class_sigma is not None:
-        spec = replace(spec, intra_class_sigma=args.intra_class_sigma)
+    spec = GenSpec(intra_class_sigma=args.intra_class_sigma)
     pool = generate_pool(spec)
     print(f"pool: {pool} sigma={spec.intra_class_sigma}")
 
     rows = []
     for name in names:
         overrides, regime = SCHEMES[name]
-        cfg = benchmark_config(**overrides)
-        if args.epochs is not None:
-            cfg = replace(cfg, epochs=args.epochs,
-                          warmup_epochs=min(cfg.warmup_epochs,
+        cfg = TrainConfig(**overrides, epochs=args.epochs, seed=args.seed,
+                          warmup_epochs=min(TrainConfig.warmup_epochs,
                                             args.epochs - 1))
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         t0 = time.perf_counter()
         _, rep = train(pool, cfg, regime=regime)
         wall = time.perf_counter() - t0

@@ -10,15 +10,13 @@ no usable density at all.
 import argparse
 import csv
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from mcl.cluster import dbscan
-from mcl.data import generate_pool
+from mcl.data import GenSpec, generate_pool
 from mcl.geometry import clustering_distance
 from mcl.metrics import clustering_quality
-from mcl.trainer import benchmark_genspec
 
 
 def main(argv=None):
@@ -33,7 +31,7 @@ def main(argv=None):
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
 
-    spec = replace(benchmark_genspec(), num_identities=args.num_identities,
+    spec = GenSpec(num_identities=args.num_identities,
                    samples_per_identity=args.samples_per_identity,
                    intra_class_sigma=args.intra_class_sigma, seed=args.seed)
     pool = generate_pool(spec)

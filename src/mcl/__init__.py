@@ -16,8 +16,8 @@ from .metrics import CostProfile, clustering_quality, compute_map_cmc, \
 from .model import EncoderParams, OptimizerState, adam_step, augment_batch, \
     encode_batch, load_checkpoint, lr_at_epoch, save_checkpoint
 from .protobank import NoClustersError, PrototypeBank
-from .trainer import NumericError, TrainConfig, TrainReport, \
-    benchmark_config, benchmark_genspec, epoch_split, pk_sample, train
+from .trainer import NumericError, TrainConfig, TrainReport, epoch_split, \
+    pk_sample, train
 
 __all__ = [
     "ClusterAssignment", "dbscan",
@@ -32,7 +32,6 @@ __all__ = [
     "EncoderParams", "OptimizerState", "adam_step", "augment_batch",
     "encode_batch", "load_checkpoint", "lr_at_epoch", "save_checkpoint",
     "NoClustersError", "PrototypeBank",
-    "NumericError", "TrainConfig", "TrainReport",
-    "benchmark_config", "benchmark_genspec", "epoch_split", "pk_sample",
+    "NumericError", "TrainConfig", "TrainReport", "epoch_split", "pk_sample",
     "train",
 ]

@@ -29,8 +29,8 @@ from .data import FeatureFileError, GenSpec, Pool, generate_pool, load_pool, \
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
-from .trainer import NumericError, REGIMES, TrainConfig, benchmark_genspec, \
-    evaluate, holdout_split, train
+from .trainer import NumericError, REGIMES, TrainConfig, evaluate, \
+    holdout_split, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,6 +80,12 @@ def _resolve_config(args, skip=()) -> TrainConfig:
     return TrainConfig.from_dict(merged)
 
 
+def _subset_counts(text: str) -> list[int]:
+    """compare's --n-subsets, a comma list of integers; argparse reports a
+    bad item as a usage error that names the flag."""
+    return [int(item) for item in text.split(",")]
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -87,11 +93,11 @@ def _write_csv(path, header: list[str], rows) -> None:
         w.writerows(rows)
 
 
-def _write_manifest(args, config: TrainConfig, outputs: list[str]) -> None:
+def _write_manifest(args, config: dict, outputs: list[str]) -> None:
     """manifest.json in the run's directory: how to redo it and what it read."""
     manifest = {
-        "command": args.argv, "config": config.to_dict(),
-        "seed": config.seed, "outputs": outputs, "version": __version__,
+        "command": args.argv, "config": config,
+        "seed": config["seed"], "outputs": outputs, "version": __version__,
         "input_hashes": {path: _sha256(path)
                          for path in (args.pool, args.config) if path},
     }
@@ -104,7 +110,7 @@ def cmd_gen(args) -> int:
     if os.path.exists(args.out) and not args.force:
         print(f"refusing to overwrite {args.out} (use --force)", file=sys.stderr)
         return EXIT_DATA
-    pool = generate_pool(replace(benchmark_genspec(), **_given(args, GenSpec)))
+    pool = generate_pool(GenSpec(**_given(args, GenSpec)))
     write_features(pool, args.out, include_labels=True)
     print(f"wrote {len(pool)} samples x {pool.d_raw} dims to {args.out}")
     return EXIT_OK
@@ -125,7 +131,7 @@ def cmd_train(args) -> int:
                ["epoch", "distance_entries", "peak_bytes", "seconds"],
                ([e.epoch, e.distance_entries, e.distance_entries * 8,
                  f"{e.seconds:.6f}"] for e in report.epochs))
-    _write_manifest(args, config,
+    _write_manifest(args, report.config,  # "all" runs, and records, N = 1
                     ["checkpoint.mclp", "report.json", "cost.csv"])
     print(f"{args.regime}: final mAP {report.final_map:.4f} "
           f"rank1 {report.final_rank1:.4f} "
@@ -139,7 +145,7 @@ def cmd_compare(args) -> int:
     config = _resolve_config(args, skip=("n_subsets",))
     # every scheme's config is built, so validated, before any training
     schemes = []
-    for n in sorted({int(count) for count in args.subset_counts.split(",")}):
+    for n in sorted(set(args.subset_counts)):
         for regime in ("mcl", "naive") if n > 1 else ("all",):
             schemes.append((f"{regime}@{n}" if n > 1 else "all", regime,
                             replace(config, n_subsets=n)))
@@ -166,7 +172,9 @@ def cmd_compare(args) -> int:
         sweep.append([budget, best["scheme"], f"{best['mAP']:.6f}"])
     _write_csv(os.path.join(args.out_dir, "budget_sweep.csv"),
                ["budget_bytes", "scheme", "mAP"], sweep)
-    _write_manifest(args, config, ["compare.csv", "budget_sweep.csv"])
+    # each scheme's N is in compare.csv; the base config's N never ran
+    ran = {k: v for k, v in config.to_dict().items() if k != "n_subsets"}
+    _write_manifest(args, ran, ["compare.csv", "budget_sweep.csv"])
     return EXIT_OK
 
 
@@ -211,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, help=text, allow_abbrev=False)
 
     g = verb("gen", "generate a synthetic feature pool")
-    _add_field_flags(g, benchmark_genspec())
+    _add_field_flags(g, GenSpec())
     g.add_argument("-o", "--out", required=True)
     g.add_argument("--force", action="store_true")
     g.set_defaults(func=cmd_gen)
@@ -225,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = verb("compare", "regime comparison table + budget sweep")
     c.add_argument("pool")
     c.add_argument("--n-subsets", dest="subset_counts", default="1,2,4",
+                   type=_subset_counts,
                    help="comma list of subset counts N; N = 1 is 'all'")
     c.add_argument("-o", "--out-dir", default="compare")
     c.set_defaults(func=cmd_compare)

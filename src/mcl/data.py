@@ -51,11 +51,13 @@ class DimensionMismatchError(FeatureFileError):
 
 @dataclass(frozen=True)
 class GenSpec:
-    num_identities: int
-    samples_per_identity: int
-    d_raw: int
-    intra_class_sigma: float
-    seed: int
+    """Synthetic pool settings; the defaults are the acceptance gate's pool."""
+
+    num_identities: int = 200
+    samples_per_identity: int = 30
+    d_raw: int = 64
+    intra_class_sigma: float = 0.35
+    seed: int = 1
 
     def __post_init__(self) -> None:
         if self.num_identities < 2:

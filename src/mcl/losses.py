@@ -82,14 +82,12 @@ def siamese_consistency_batch(f_s: np.ndarray, f_t: np.ndarray,
 
 def soft_weighted_triplet_batch(f_a: np.ndarray, f_p: np.ndarray,
                                 f_n: np.ndarray, margin: float,
-                                soft_weight: bool = True,
-                                clamp_weight: bool = True) -> LossValue:
+                                soft_weight: bool = True) -> LossValue:
     """omega * [|a-p|^2 - |a-n|^2 + margin]_+, mean over rows.
 
     omega = clamp(<a,p>, 0, 1) * clamp(<a,n>, 0, 1); gradients flow through
     both the hinge and omega (clamp has zero slope outside (0, 1)).
-    soft_weight=False gives the plain hinge (omega = 1); clamp_weight=False
-    keeps the raw, possibly negative, product of similarities.
+    soft_weight=False gives the plain hinge (omega = 1).
     """
     f_a = np.atleast_2d(np.asarray(f_a, dtype=np.float64))
     f_p = np.atleast_2d(np.asarray(f_p, dtype=np.float64))
@@ -102,13 +100,9 @@ def soft_weighted_triplet_batch(f_a: np.ndarray, f_p: np.ndarray,
     if soft_weight:
         sp = (f_a * f_p).sum(axis=1)
         sn = (f_a * f_n).sum(axis=1)
-        if clamp_weight:
-            cp, cn = np.clip(sp, 0.0, 1.0), np.clip(sn, 0.0, 1.0)
-            dcp = ((sp > 0) & (sp < 1)).astype(np.float64)
-            dcn = ((sn > 0) & (sn < 1)).astype(np.float64)
-        else:
-            cp, cn = sp, sn
-            dcp = dcn = np.ones(n)
+        cp, cn = np.clip(sp, 0.0, 1.0), np.clip(sn, 0.0, 1.0)
+        dcp = ((sp > 0) & (sp < 1)).astype(np.float64)
+        dcn = ((sn > 0) & (sn < 1)).astype(np.float64)
         omega = cp * cn
     else:
         omega = np.ones(n)

@@ -175,7 +175,7 @@ def adam_step(params: EncoderParams, grads: dict[str, np.ndarray],
 
 
 def lr_at_epoch(base_lr: float, epoch: int, total_epochs: int) -> float:
-    """Step schedule: x0.1 at 1/3 and 2/3 of the run (20 and 40 of 60 epochs)."""
+    """Step schedule: x0.1 at 1/3 and 2/3 of the run (10 and 20 of 30 epochs)."""
     boundaries = (total_epochs // 3, 2 * total_epochs // 3)
     factor = 1.0
     for b in boundaries:

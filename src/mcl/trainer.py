@@ -45,10 +45,10 @@ class NumericError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Run settings; defaults follow the reference setup scaled to desk size."""
+    """Run settings; the defaults, on GenSpec()'s pool, are the gated run."""
 
     n_subsets: int = 2
-    epochs: int = 60
+    epochs: int = 30
     warmup_epochs: int = 5
     p_identities: int = 16      # phase-1 PK batch: P pseudo ids x I instances
     i_instances: int = 16
@@ -56,12 +56,12 @@ class TrainConfig:
     i2_instances: int = 4
     momentum_m: float = 0.2
     margin: float = 0.3
-    lambda_tri: float = 1.0
+    lambda_tri: float = 1.5
     tau: float = 0.05
     eps: float = 0.7
     min_pts: int = 4
     k_neighbors: int = 30
-    min_cluster_fraction: float = 0.0  # eps widens until this much of X1 clusters
+    min_cluster_fraction: float = 0.3  # eps widens until this much of X1 clusters
     lr: float = 3.5e-4
     weight_decay: float = 5e-4
     d_hidden: int = 128
@@ -69,7 +69,7 @@ class TrainConfig:
     sigma_aug: float = 0.08
     drop_p: float = 0.15
     holdout_fraction: float = 0.25
-    seed: int = 0
+    seed: int = 1
     # ablation switches
     fixed_split: bool = False
     shared_label_space: bool = False
@@ -145,15 +145,10 @@ class TrainConfig:
         return cls(**d)
 
 
-def benchmark_genspec():
-    return GenSpec(num_identities=200, samples_per_identity=30, d_raw=64,
-                   intra_class_sigma=0.35, seed=1)
-
-
-def benchmark_config(**overrides) -> TrainConfig:
-    base = TrainConfig(epochs=30, warmup_epochs=5, lambda_tri=1.5,
-                       min_cluster_fraction=0.3, seed=1)
-    return replace(base, **overrides)
+# the defaults are the benchmark's, so these are the classes themselves; they
+# remain only because perfbench/worker.py and the acceptance gate call them
+benchmark_genspec = GenSpec
+benchmark_config = TrainConfig
 
 
 def epoch_split(n_samples: int, n_subsets: int,
@@ -405,7 +400,7 @@ def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.n
     The fraction must lie in [0, 1), as `TrainConfig` requires.
     """
     if not 0.0 <= holdout_fraction < 1.0:
-        raise ValueError(f"holdout fraction must be in [0, 1), got {holdout_fraction}")
+        raise ValueError(f"holdout_fraction must be in [0, 1), got {holdout_fraction}")
     ids = pool.identities
     num = pool.num_identities
     cut = max(int(round(num * (1.0 - holdout_fraction))), 1)
@@ -436,14 +431,15 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
           ) -> tuple[EncoderParams, TrainReport]:
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    n_subsets = 1 if regime == "all" else config.n_subsets
+    if regime == "all":  # one subset: the report records the N that ran
+        config = replace(config, n_subsets=1)
 
     train_pos, query_pos, gallery_pos = holdout_split(pool, config.holdout_fraction)
     features = pool.features[train_pos].astype(np.float64)
     true_ids = pool.identities[train_pos]
     n = features.shape[0]
-    fixed_subsets = epoch_split(n, n_subsets, config.seed)
-    if config.p_identities * config.i_instances > math.ceil(n / n_subsets):
+    fixed_subsets = epoch_split(n, config.n_subsets, config.seed)
+    if config.p_identities * config.i_instances > math.ceil(n / config.n_subsets):
         raise ValueError("phase-1 batch larger than the meta-training subset; "
                          "lower p_identities/i_instances or n_subsets")
 
@@ -457,8 +453,9 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
                          n_gallery=gallery_pos.size)
 
     # naive: near-equal runs of epochs per fixed subset, longer runs first
-    stages = np.array_split(np.arange(config.epochs), n_subsets)
-    stage_of_epoch = np.repeat(np.arange(n_subsets), [s.size for s in stages])
+    stages = np.array_split(np.arange(config.epochs), config.n_subsets)
+    stage_of_epoch = np.repeat(np.arange(config.n_subsets),
+                               [s.size for s in stages])
 
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
@@ -472,7 +469,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
             rest: list[np.ndarray] = []
         else:
             if regime == "mcl" and not config.fixed_split:
-                subsets = epoch_split(n, n_subsets, config.seed + epoch)
+                subsets = epoch_split(n, config.n_subsets, config.seed + epoch)
             else:
                 subsets = fixed_subsets
             x1, rest = subsets[0], subsets[1:]

@@ -98,20 +98,17 @@ def _safe_triplet_batch(rng, n, d, margin, clamp):
             return f_a, f_p, f_n
 
 
-def check_triplet(rng, soft_weight=True, clamp_weight=True):
+def check_triplet(rng, soft_weight=True):
     n = int(rng.integers(1, 6))
     d = int(rng.integers(3, 8))
     margin = float(rng.uniform(0.1, 0.6))
-    f_a, f_p, f_n = _safe_triplet_batch(rng, n, d, margin,
-                                        soft_weight and clamp_weight)
+    f_a, f_p, f_n = _safe_triplet_batch(rng, n, d, margin, soft_weight)
     got = soft_weighted_triplet_batch(f_a, f_p, f_n, margin,
-                                      soft_weight=soft_weight,
-                                      clamp_weight=clamp_weight)
+                                      soft_weight=soft_weight)
 
     def value(a, p, n_):
         return soft_weighted_triplet_batch(
-            a, p, n_, margin, soft_weight=soft_weight,
-            clamp_weight=clamp_weight).value
+            a, p, n_, margin, soft_weight=soft_weight).value
 
     errs = [
         relative_error(got.grads["f_a"],

@@ -87,11 +87,9 @@ def test_criterion_1_gradient_suite():
         worst["siamese"] = max(worst["siamese"], check_siamese(rng))
         worst["phase2"] = max(worst["phase2"], check_phase2(rng))
     for i in range(100):
-        # rotate through the weighting variants so all code paths get hit
+        # alternate the weighted and the plain hinge so both paths get hit
         worst["triplet"] = max(
-            worst["triplet"],
-            check_triplet(rng, soft_weight=(i % 3 != 1),
-                          clamp_weight=(i % 3 != 2)))
+            worst["triplet"], check_triplet(rng, soft_weight=(i % 2 == 0)))
     wall = time.perf_counter() - start
     err = max(worst.values())
     ok = err <= 1e-4 and wall < 30.0

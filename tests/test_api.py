@@ -10,10 +10,12 @@ import sys
 import numpy as np
 
 import mcl
+import mcl.trainer
 from mcl.cluster import dbscan
 from mcl.data import GenSpec, generate_pool, write_features
 from mcl.geometry import clustering_distance
 from mcl.model import EncoderParams
+from mcl.trainer import TrainConfig
 
 from .conftest import ROOT, src_env
 
@@ -58,6 +60,15 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_benchmark_measures_the_default_run():
+    # benchmark_config/benchmark_genspec are non-public aliases of the
+    # classes, so perfbench's train workloads at seed 1 run exactly
+    # TrainConfig() on GenSpec()
+    assert {"benchmark_config", "benchmark_genspec"}.isdisjoint(mcl.__all__)
+    assert mcl.trainer.benchmark_config(seed=3) == TrainConfig(seed=3)
+    assert _load_perfbench("worker").genspec("train-mcl-hard", 1) == GenSpec()
 
 
 def test_benchmark_worker_runs_on_a_small_pool(tmp_path):

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, build_parser, main
+from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _resolve_config, \
+    build_parser, main
 from mcl.data import GenSpec, generate_pool, load_pool, read_features, \
     write_features
 from mcl.model import load_checkpoint, write_sections
-from mcl.trainer import NumericError, benchmark_genspec
+from mcl.trainer import NumericError, TrainConfig
 
 
 @pytest.fixture
@@ -64,7 +65,7 @@ class TestGen:
     def test_defaults_write_the_benchmark_pool(self, tmp_path):
         out = tmp_path / "p.mclf"
         assert main(["gen", "-o", str(out)]) == EXIT_OK
-        assert read_features(out) == generate_pool(benchmark_genspec())
+        assert read_features(out) == generate_pool(GenSpec())
 
     def test_invalid_spec_is_data_error(self, tmp_path):
         code = main(["gen", "--num-identities", "1",
@@ -99,6 +100,12 @@ def test_training_verbs_option_strings(verb, own):
     skip = ["--n-subsets"] if verb == "compare" else []
     assert got == TRAIN_OPTIONS[:2] + own + [
         opt for opt in TRAIN_OPTIONS[2:] if opt not in skip]
+
+
+@pytest.mark.parametrize("verb", ["train", "compare"])
+def test_no_flags_resolve_to_the_defaults(verb):
+    args = build_parser().parse_args([verb, "pool.mclf"])
+    assert _resolve_config(args) == TrainConfig()
 
 
 def test_gen_option_strings():
@@ -198,6 +205,15 @@ class TestUsageErrors:
                   "-o", str(tmp_path / "out")])
         assert exc.value.code == 2
 
+    def test_compare_subset_count_not_an_integer(self, pool_file, tmp_path,
+                                                 capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", pool_file, "-o", str(tmp_path / "c"),
+                  "--n-subsets", "2.5"] + TRAIN_FLAGS)
+        assert exc.value.code == 2
+        assert "--n-subsets" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_compare_takes_no_subsets(self, pool_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["compare", pool_file, "-o", str(tmp_path / "c"),
@@ -236,6 +252,17 @@ class TestTrain:
         assert main(argv) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == argv
+
+    def test_all_records_the_one_subset_it_ran(self, pool_file, tmp_path):
+        out = tmp_path / "run"
+        code = main(["train", pool_file, "--regime", "all", "-o", str(out),
+                     "--n-subsets", "2"] + TRAIN_FLAGS)
+        assert code == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert report["epochs"][0]["n_phase1"] == report["n_train"]
+        assert report["config"]["n_subsets"] == 1
+        assert manifest["config"] == report["config"]
 
     def test_missing_pool_is_data_error(self, tmp_path, capsys):
         code = main(["train", str(tmp_path / "absent.mclf")] + TRAIN_FLAGS)
@@ -423,6 +450,21 @@ class TestCompare:
         assert all(len(h) == 64 for h in manifest["input_hashes"].values())
         assert manifest["outputs"] == ["compare.csv", "budget_sweep.csv"]
 
+    def test_manifest_records_no_base_subset_count(self, pool_file,
+                                                   tmp_path):
+        # the schemes ran at N = 1, 2 and 4, each recorded in compare.csv;
+        # the base config's N ran in none of them
+        out = tmp_path / "cmp"
+        code = main(["compare", pool_file, "--n-subsets", "1,2,2,4",
+                     "-o", str(out)] + TRAIN_FLAGS)
+        assert code == EXIT_OK
+        with open(out / "compare.csv") as fh:
+            counts = [int(r["n_subsets"]) for r in csv.DictReader(fh)]
+        assert counts == [1, 2, 2, 4, 4]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "n_subsets" not in manifest["config"]
+        assert manifest["config"]["epochs"] == 2
+
     def test_bad_subset_count_list(self, pool_file, tmp_path):
         out = tmp_path / "c"
         code = main(["compare", pool_file, "--n-subsets", "0",
@@ -530,10 +572,11 @@ class TestEvalAndDump:
 
     @pytest.mark.parametrize("fraction", ["-3", "1", "1.5"])
     def test_holdout_outside_unit_interval_is_data_error(self, pool_file,
-                                                         fraction):
+                                                         capsys, fraction):
         code = main(["eval", pool_file, "--identity-init",
                      "--holdout-fraction", fraction])
         assert code == EXIT_DATA
+        assert "error: holdout_fraction must" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tail,extra", [
         (b"\0" * 14, []),

@@ -5,6 +5,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from .conftest import ROOT, src_env
 
 
@@ -48,3 +50,14 @@ def test_run_benchmark(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["scheme", "mAP", "rank1", "entries", "seconds"]
     assert [r[0] for r in rows[1:]] == ["mcl"]
+
+
+@pytest.mark.parametrize("script,args", [
+    ("run_benchmark.py", ["--sch", "mcl", "--epo", "1"]),
+    ("profile_scaling.py", ["--siz", "300"]),
+    ("sweep_dbscan.py", ["--num-id", "10"]),
+])
+def test_abbreviated_flag_is_usage_error(script, args):
+    done = _run(script, *args)
+    assert done.returncode == 2
+    assert "unrecognized arguments" in done.stderr

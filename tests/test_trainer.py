@@ -18,8 +18,6 @@ from mcl.trainer import (
     TrainConfig,
     _batch_hard_triplet,
     _cluster_with_widening,
-    benchmark_config,
-    benchmark_genspec,
     epoch_split,
     holdout_split,
     pk_sample,
@@ -77,12 +75,14 @@ class TestTrainConfig:
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_benchmark_fixtures(self):
-        spec = benchmark_genspec()
+        # the defaults are the acceptance gate's pool and run
+        spec = GenSpec()
         assert (spec.num_identities, spec.samples_per_identity) == (200, 30)
-        assert (spec.d_raw, spec.intra_class_sigma) == (64, 0.35)
-        cfg = benchmark_config()
-        assert cfg.epochs == 30
-        assert benchmark_config(margin=0.9).margin == 0.9
+        assert (spec.d_raw, spec.intra_class_sigma, spec.seed) == (64, 0.35, 1)
+        cfg = TrainConfig()
+        assert (cfg.n_subsets, cfg.epochs, cfg.warmup_epochs) == (2, 30, 5)
+        assert (cfg.lambda_tri, cfg.min_cluster_fraction) == (1.5, 0.3)
+        assert cfg.seed == 1
 
 
 class TestEpochSplit:
