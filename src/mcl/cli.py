@@ -29,8 +29,8 @@ from .data import FeatureFileError, GenSpec, Pool, generate_pool, load_pool, \
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
-from .trainer import NumericError, REGIMES, TrainConfig, evaluate, \
-    holdout_split, train
+from .trainer import NumericError, REGIMES, TrainConfig, _check_regime, \
+    evaluate, holdout_split, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,7 +111,7 @@ def cmd_gen(args) -> int:
         print(f"refusing to overwrite {args.out} (use --force)", file=sys.stderr)
         return EXIT_DATA
     pool = generate_pool(GenSpec(**_given(args, GenSpec)))
-    write_features(pool, args.out, include_labels=True)
+    write_features(pool, args.out)
     print(f"wrote {len(pool)} samples x {pool.d_raw} dims to {args.out}")
     return EXIT_OK
 
@@ -143,12 +143,13 @@ def cmd_train(args) -> int:
 def cmd_compare(args) -> int:
     pool = load_pool(args.pool)
     config = _resolve_config(args, skip=("n_subsets",))
-    # every scheme's config is built, so validated, before any training
+    # every scheme's config is built and checked before any training
     schemes = []
     for n in sorted(set(args.subset_counts)):
         for regime in ("mcl", "naive") if n > 1 else ("all",):
-            schemes.append((f"{regime}@{n}" if n > 1 else "all", regime,
-                            replace(config, n_subsets=n)))
+            cfg = replace(config, n_subsets=n)
+            _check_regime(cfg, regime)
+            schemes.append((f"{regime}@{n}" if n > 1 else "all", regime, cfg))
     os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for name, regime, cfg in schemes:
@@ -181,7 +182,7 @@ def cmd_compare(args) -> int:
 def cmd_eval(args) -> int:
     pool = load_pool(args.pool)
     if args.identity_init:
-        params = EncoderParams.identity_init(pool.d_raw, pool.d_raw)
+        params = EncoderParams.identity_init(pool.d_raw)
     else:
         params = load_checkpoint(args.checkpoint)
     _, query_pos, gallery_pos = holdout_split(pool, args.holdout_fraction)
@@ -203,7 +204,7 @@ def cmd_dump_embeddings(args) -> int:
     params = load_checkpoint(args.checkpoint)
     emb = encode_batch(params, pool.features.astype(np.float64))
     out_pool = Pool(emb.astype(np.float32), pool.identities)
-    write_features(out_pool, args.out, include_labels=True)
+    write_features(out_pool, args.out)
     print(f"wrote {len(out_pool)} embeddings x {out_pool.d_raw} dims to {args.out}")
     return EXIT_OK
 

@@ -21,8 +21,9 @@ comma-separated row of d floats per sample (no labels).
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,9 +50,33 @@ class DimensionMismatchError(FeatureFileError):
     """A zero feature dimension, or a row whose width disagrees with it."""
 
 
+_RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+          ">= 2": lambda v: v >= 2, "> 0": lambda v: v > 0,
+          "in [0, 1]": lambda v: 0 <= v <= 1, "in [0, 1)": lambda v: 0 <= v < 1}
+
+
+def check_fields(spec, rules: dict[str, str]) -> None:
+    """Validate a settings dataclass: each field has its default's type and,
+    if a float, is finite, and each field in rules meets its rule, a key of
+    _RULES. A failure is a ValueError that starts with the field's name."""
+    for f in fields(spec):
+        # a float field also takes an int; a bool passes only for a bool field
+        value, kind = getattr(spec, f.name), type(f.default)
+        accepted = (int, float) if kind is float else kind
+        if (isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, accepted)):
+            raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+        rule = rules.get(f.name)
+        if rule is not None and not _RULES[rule](value):
+            raise ValueError(f"{f.name} must be {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class GenSpec:
-    """Synthetic pool settings; the defaults are the acceptance gate's pool."""
+    """Synthetic pool settings, checked by check_fields against RULES (field
+    -> rule); the defaults are the acceptance gate's pool."""
 
     num_identities: int = 200
     samples_per_identity: int = 30
@@ -59,17 +84,13 @@ class GenSpec:
     intra_class_sigma: float = 0.35
     seed: int = 1
 
+    RULES = {
+        "num_identities": ">= 2", "samples_per_identity": ">= 2",
+        "d_raw": ">= 1", "intra_class_sigma": ">= 0", "seed": ">= 0",
+    }
+
     def __post_init__(self) -> None:
-        if self.num_identities < 2:
-            raise ValueError(f"num_identities must be >= 2, got {self.num_identities}")
-        if self.samples_per_identity < 2:
-            raise ValueError(
-                f"samples_per_identity must be >= 2, got {self.samples_per_identity}"
-            )
-        if self.d_raw < 1:
-            raise ValueError(f"d_raw must be positive, got {self.d_raw}")
-        if self.intra_class_sigma < 0:
-            raise ValueError(f"intra_class_sigma must be >= 0, got {self.intra_class_sigma}")
+        check_fields(self, self.RULES)
 
 
 class Pool:
@@ -137,16 +158,15 @@ def generate_pool(spec: GenSpec) -> Pool:
     return Pool(features, identities)
 
 
-def write_features(pool: Pool, path, include_labels: bool = True) -> None:
-    """Write a pool as an MCLF file (bit-exact round trip with read_features)."""
-    if include_labels and (pool.identities >= 1 << 32).any():
+def write_features(pool: Pool, path) -> None:
+    """Write a pool, identities included, as an MCLF file (bit-exact round
+    trip with read_features)."""
+    if (pool.identities >= 1 << 32).any():
         raise ValueError("an identity of 2**32 or more overflows MCLF's labels")
-    flags = FLAG_LABELS if include_labels else 0
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, flags, len(pool), pool.d_raw))
+        fh.write(_HEADER.pack(MAGIC, VERSION, FLAG_LABELS, len(pool), pool.d_raw))
         fh.write(pool.features.astype("<f4", copy=False).tobytes())
-        if include_labels:
-            fh.write(pool.identities.astype("<u4").tobytes())
+        fh.write(pool.identities.astype("<u4").tobytes())
 
 
 def read_features(path) -> Pool:

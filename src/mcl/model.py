@@ -57,9 +57,9 @@ class EncoderParams:
         return cls(W1=w1, b1=b1, W2=w2, b2=np.zeros(d_emb))
 
     @classmethod
-    def identity_init(cls, d_raw: int, d_emb: int) -> "EncoderParams":
-        """Linear untrained reference: W2 = leading rows of the identity."""
-        return cls(W1=None, b1=None, W2=np.eye(d_emb, d_raw), b2=np.zeros(d_emb))
+    def identity_init(cls, d: int) -> "EncoderParams":
+        """Linear untrained reference: W2 = the d x d identity."""
+        return cls(W1=None, b1=None, W2=np.eye(d), b2=np.zeros(d))
 
 
 @dataclass

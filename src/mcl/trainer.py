@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .cluster import ClusterAssignment, dbscan
-from .data import GenSpec, Pool
+from .data import GenSpec, Pool, check_fields
 from .geometry import ENTRY_COUNTER, clustering_distance
 from .losses import LossValue, infonce_batch, phase2_total, \
     siamese_consistency_batch, soft_weighted_triplet_batch
@@ -43,9 +43,10 @@ class NumericError(RuntimeError):
     """Training hit a non-finite loss or a degenerate embedding."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Run settings; the defaults, on GenSpec()'s pool, are the gated run."""
+    """Run settings, checked by check_fields against RULES (field -> rule)
+    and by two cross-field rules; the defaults are the gated run."""
 
     n_subsets: int = 2
     epochs: int = 30
@@ -76,58 +77,28 @@ class TrainConfig:
     no_sc: bool = False
     plain_triplet: bool = False
 
-    def __post_init__(self):
-        # a field's default fixes its type; a float field also takes an int,
-        # and a bool (an int subclass) passes only for a bool field
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            accepted = (int, float) if kind is float else kind
-            if (isinstance(value, bool) != (kind is bool)
-                    or not isinstance(value, accepted)):
-                raise ValueError(
-                    f"{f.name} must be {kind.__name__}, got {value!r}")
-            if kind is float and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.n_subsets < 1:
-            raise ValueError("n_subsets must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 <= self.warmup_epochs < self.epochs:
-            raise ValueError("need 0 <= warmup_epochs < epochs")
-        for name in ("p_identities", "i_instances", "p2_identities"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.i2_instances < 2 or self.i2_instances % 2:
-            raise ValueError("i2_instances must be an even count of views >= 2")
-        if not 0.0 <= self.momentum_m <= 1.0:
-            raise ValueError("momentum_m must be in [0, 1]")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
-        if self.lambda_tri < 0:
-            raise ValueError("lambda_tri must be >= 0")
+    RULES = {
+        "n_subsets": ">= 1", "epochs": ">= 1", "warmup_epochs": ">= 0",
+        "p_identities": ">= 1", "i_instances": ">= 1", "p2_identities": ">= 1",
+        "i2_instances": ">= 2", "momentum_m": "in [0, 1]", "margin": ">= 0",
+        "lambda_tri": ">= 0", "tau": "> 0",
+        # Jaccard distances lie in [0, 1]: eps >= 1 makes every pair a
+        # neighbour, one cluster, and an n^2 pair list in dbscan
+        "eps": "in [0, 1)", "min_pts": ">= 1", "k_neighbors": ">= 1",
+        "min_cluster_fraction": "in [0, 1]", "lr": "> 0",
+        "weight_decay": ">= 0", "d_hidden": ">= 0", "d_emb": ">= 1",
         # augment_batch's rules, checked here so phase 1 does not run first
-        if self.sigma_aug < 0:
-            raise ValueError("sigma_aug must be >= 0")
-        if not 0.0 <= self.drop_p < 1.0:
-            raise ValueError("drop_p must be in [0, 1)")
-        if not 0.0 <= self.eps < 1.0:
-            # Jaccard distances lie in [0, 1]: eps >= 1 makes every pair a
-            # neighbour, one cluster, and an n^2 pair list in dbscan
-            raise ValueError("eps must be in [0, 1)")
-        if self.min_pts < 1 or self.k_neighbors < 1:
-            raise ValueError("invalid clustering parameters")
-        if not 0.0 <= self.min_cluster_fraction <= 1.0:
-            raise ValueError("min_cluster_fraction must be in [0, 1]")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in [0, 1)")
-        if self.d_hidden < 0 or self.d_emb < 1:
-            raise ValueError("invalid encoder dims")
+        "sigma_aug": ">= 0", "drop_p": "in [0, 1)",
+        "holdout_fraction": "in [0, 1)", "seed": ">= 0",
+    }
+
+    def __post_init__(self):
+        check_fields(self, self.RULES)
+        if self.warmup_epochs >= self.epochs:
+            raise ValueError(f"warmup_epochs must be < epochs "
+                             f"({self.epochs}), got {self.warmup_epochs}")
+        if self.i2_instances % 2:  # two augmented views per sample
+            raise ValueError(f"i2_instances must be even, got {self.i2_instances}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -189,28 +160,23 @@ class Phase1Stats:
 def _cluster_with_widening(d: np.ndarray, eps: float, min_pts: int,
                            min_fraction: float = 0.0
                            ) -> tuple[ClusterAssignment, float]:
-    """Retry DBScan with a wider radius when everything lands in noise.
-
-    Stops at the first eps whose clustered (non-outlier) fraction reaches
-    min_fraction; with the default 0 that means the first eps yielding any
-    cluster at all. At the ceiling it falls back to the best coverage seen,
-    at the earliest eps that reached it, and errors only when no eps found
-    any cluster.
-    """
-    e = eps
-    best: tuple[ClusterAssignment, float] | None = None
-    n = d.shape[0]
+    """Retry DBScan with a wider radius until at least two clusters cover
+    min_fraction of the points; a lone cluster, a bank of one prototype,
+    annotates nothing. At the ceiling it returns the best assignment seen,
+    ranked by (two or more clusters, coverage), at the earliest eps that
+    reached it, and errors only when no eps found any cluster."""
+    e, n, best = eps, d.shape[0], None  # best: (rank, assignment, eps)
     while True:
-        assignment = dbscan(d, eps=e, min_pts=min_pts)
-        if assignment.num_clusters > 0:
-            covered = 1.0 - assignment.num_outliers / n
-            if covered >= min_fraction:
-                return assignment, e
-            if best is None or covered > 1.0 - best[0].num_outliers / n:
-                best = (assignment, e)
+        got = dbscan(d, eps=e, min_pts=min_pts)
+        if got.num_clusters > 0:
+            rank = (got.num_clusters >= 2, 1.0 - got.num_outliers / n)
+            if rank >= (True, min_fraction):
+                return got, e
+            if best is None or rank > best[0]:
+                best = (rank, got, e)
         if e >= EPS_CEILING:
             if best is not None:
-                return best
+                return best[1:]
             raise NoClustersError(
                 f"no clusters up to eps={e:.2f} (started at {eps})")
         e = min(e + EPS_WIDEN_STEP, EPS_CEILING)
@@ -427,10 +393,19 @@ def evaluate(params: EncoderParams, pool: Pool, query_pos: np.ndarray,
                            pool.identities[gallery_pos])
 
 
-def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
-          ) -> tuple[EncoderParams, TrainReport]:
+def _check_regime(config: TrainConfig, regime: str) -> None:
+    """The rules a regime sets on a config, checked before any work."""
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+    if regime == "naive" and config.n_subsets > config.epochs:
+        # each fixed subset gets a stage of at least one epoch
+        raise ValueError(f"the naive regime needs n_subsets <= epochs, got "
+                         f"n_subsets {config.n_subsets} > epochs {config.epochs}")
+
+
+def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
+          ) -> tuple[EncoderParams, TrainReport]:
+    _check_regime(config, regime)
     if regime == "all":  # one subset: the report records the N that ran
         config = replace(config, n_subsets=1)
 

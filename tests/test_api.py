@@ -86,7 +86,7 @@ def test_benchmark_worker_runs_on_a_small_pool(tmp_path):
     assert task["num_clusters"] >= 1
     assert 0.0 < task["quality"] <= 1.0
     assert len(task["fingerprint"]) == 64
-    params = EncoderParams.identity_init(pool.d_raw, pool.d_raw)
+    params = EncoderParams.identity_init(pool.d_raw)
     assert 0.0 < worker.heldout_map(loaded, params, 0.25) <= 1.0
 
 

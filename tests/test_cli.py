@@ -118,8 +118,15 @@ def test_gen_option_strings():
 
 @pytest.mark.parametrize("verb,flag,value", [
     ("train", "--lambda-tri", "-1"),
+    ("train", "--min-pts", "0"),
+    ("train", "--k-neighbors", "0"),
+    ("train", "--d-emb", "0"),
+    ("train", "--d-hidden", "-1"),
+    ("train", "--seed", "-1"),
     ("compare", "--n-subsets", "0"),
     ("gen", "--num-identities", "1"),
+    ("gen", "--seed", "-1"),
+    ("gen", "--intra-class-sigma", "nan"),
 ])
 def test_validation_error_names_the_flag(pool_file, tmp_path, capsys, verb,
                                          flag, value):
@@ -456,14 +463,27 @@ class TestCompare:
         # the base config's N ran in none of them
         out = tmp_path / "cmp"
         code = main(["compare", pool_file, "--n-subsets", "1,2,2,4",
-                     "-o", str(out)] + TRAIN_FLAGS)
+                     "-o", str(out)] + TRAIN_FLAGS + ["--epochs", "4"])
         assert code == EXIT_OK
         with open(out / "compare.csv") as fh:
             counts = [int(r["n_subsets"]) for r in csv.DictReader(fh)]
         assert counts == [1, 2, 2, 4, 4]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "n_subsets" not in manifest["config"]
-        assert manifest["config"]["epochs"] == 2
+        assert manifest["config"]["epochs"] == 4
+
+    def test_naive_subset_count_above_epochs(self, pool_file, tmp_path,
+                                             capsys):
+        # naive@4 in 2 epochs would never train two of its subsets; the
+        # check runs before any scheme, "all" included, trains
+        out = tmp_path / "c"
+        code = main(["compare", pool_file, "--n-subsets", "1,2,4",
+                     "-o", str(out)] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "n_subsets 4 > epochs 2" in captured.err
+        assert captured.out == ""
+        assert not (out / "compare.csv").exists()
 
     def test_bad_subset_count_list(self, pool_file, tmp_path):
         out = tmp_path / "c"

@@ -63,10 +63,10 @@ class TestForward:
             encode_batch(params, x)
 
     def test_identity_init_is_projection(self):
-        params = EncoderParams.identity_init(6, 4)
+        params = EncoderParams.identity_init(6)
         x = np.arange(12, dtype=np.float64).reshape(2, 6) + 1.0
         v = encode_batch(params, x)
-        want = x[:, :4] / np.linalg.norm(x[:, :4], axis=1, keepdims=True)
+        want = x / np.linalg.norm(x, axis=1, keepdims=True)
         assert np.allclose(v, want, atol=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Split plans, PK sampling, widening, the two phases, and full runs."""
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -61,6 +62,10 @@ class TestTrainConfig:
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
+
+    def test_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            TrainConfig().epochs = 3
 
     def test_from_dict_rejects_lambda_alias(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -163,12 +168,23 @@ class TestWidening:
         np.fill_diagonal(d, 0.0)
         return d
 
-    def test_stops_at_first_cluster_by_default(self):
+    def test_widens_past_a_lone_cluster(self):
+        # eps 0.1 clusters only the first block: one cluster is never
+        # adequate, so eps widens until the second block forms
         dm = self._block_matrix([0.05, 0.45, 0.97])
+        got, eps = _cluster_with_widening(dm, eps=0.1, min_pts=2)
+        assert 0.45 <= eps < 0.5
+        assert got.num_clusters == 2
+        assert got.num_outliers == 4
+
+    def test_lone_cluster_is_the_last_resort(self):
+        # the second block never clusters below the ceiling: the lone
+        # cluster comes back, at the earliest eps that formed it
+        dm = self._block_matrix([0.05, 0.97])
         got, eps = _cluster_with_widening(dm, eps=0.1, min_pts=2)
         assert eps == 0.1
         assert got.num_clusters == 1
-        assert got.num_outliers == 8
+        assert got.num_outliers == 4
 
     def test_widens_until_coverage(self):
         dm = self._block_matrix([0.05, 0.45, 0.97])
@@ -482,6 +498,13 @@ class TestTrain:
         cfg = _fast_config(p_identities=16, i_instances=16)
         with pytest.raises(ValueError, match="batch larger"):
             train(small_pool, cfg, regime="mcl")
+
+    def test_naive_needs_an_epoch_per_subset(self, small_pool):
+        # 4 fixed subsets in 2 epochs would leave two of them untrained
+        cfg = _fast_config(n_subsets=4, epochs=2, warmup_epochs=0)
+        with pytest.raises(ValueError, match="n_subsets 4 > epochs 2"):
+            train(small_pool, cfg, regime="naive")
+        assert len(train(small_pool, cfg, regime="mcl")[1].epochs) == 2
 
     def test_more_subsets_than_samples_rejected(self, small_pool):
         with pytest.raises(ValueError, match="n_subsets"):
