@@ -12,23 +12,13 @@ import sys
 import time
 
 from mcl.data import GenSpec, generate_pool
-from mcl.trainer import TrainConfig, train
-
-SCHEMES = {
-    "all": ({}, "all"),
-    "mcl": ({}, "mcl"),
-    "naive": ({}, "naive"),
-    "no_sc": ({"no_sc": True}, "mcl"),
-    "plain_triplet": ({"plain_triplet": True}, "mcl"),
-    "fixed_split": ({"fixed_split": True}, "mcl"),
-    "shared_labels": ({"shared_label_space": True}, "mcl"),
-}
+from mcl.trainer import REGIMES, TrainConfig, train
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--schemes", default="all,mcl,naive",
-                    help=f"comma list from {sorted(SCHEMES)} or 'full'")
+                    help=f"comma list from {list(REGIMES)} or 'full'")
     ap.add_argument("--intra-class-sigma", type=float,
                     default=GenSpec.intra_class_sigma,
                     help="the generator noise level")
@@ -39,9 +29,8 @@ def main(argv=None):
     ap.add_argument("-o", "--csv", default=None, help="write rows here")
     args = ap.parse_args(argv)
 
-    names = sorted(SCHEMES) if args.schemes == "full" \
-        else args.schemes.split(",")
-    bad = [n for n in names if n not in SCHEMES]
+    names = REGIMES if args.schemes == "full" else args.schemes.split(",")
+    bad = [n for n in names if n not in REGIMES]
     if bad:
         ap.error(f"unknown scheme(s): {bad}")
 
@@ -49,14 +38,13 @@ def main(argv=None):
     pool = generate_pool(spec)
     print(f"pool: {pool} sigma={spec.intra_class_sigma}")
 
+    cfg = TrainConfig(epochs=args.epochs, seed=args.seed,
+                      warmup_epochs=min(TrainConfig.warmup_epochs,
+                                        args.epochs - 1))
     rows = []
     for name in names:
-        overrides, regime = SCHEMES[name]
-        cfg = TrainConfig(**overrides, epochs=args.epochs, seed=args.seed,
-                          warmup_epochs=min(TrainConfig.warmup_epochs,
-                                            args.epochs - 1))
         t0 = time.perf_counter()
-        _, rep = train(pool, cfg, regime=regime)
+        _, rep = train(pool, cfg, regime=name)
         wall = time.perf_counter() - t0
         rows.append((name, rep.final_map, rep.final_rank1,
                      rep.total_entries, wall))

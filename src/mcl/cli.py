@@ -48,14 +48,11 @@ def _sha256(path) -> str:
 
 def _add_field_flags(p: argparse.ArgumentParser, defaults, skip=()) -> None:
     """One --<field-name> flag per field of the dataclass instance defaults
-    not in skip, typed by its value there (a bool is a switch); an unset
-    flag reads None."""
+    not in skip, typed by its value there; an unset flag reads None."""
     for f in fields(defaults):
-        if f.name in skip:
-            continue
-        kind = type(getattr(defaults, f.name))
-        how = {"action": "store_true"} if kind is bool else {"type": kind}
-        p.add_argument("--" + f.name.replace("_", "-"), default=None, **how)
+        if f.name not in skip:
+            p.add_argument("--" + f.name.replace("_", "-"), default=None,
+                           type=type(getattr(defaults, f.name)))
 
 
 def _given(args, cls) -> dict:
@@ -119,9 +116,11 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     pool = load_pool(args.pool)
     config = _resolve_config(args)
-    params, report = train(pool, config, args.regime)
+    # as in compare: the regime's rules, then the output path, before training
+    _check_regime(config, args.regime)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
+    params, report = train(pool, config, args.regime)
     ckpt = os.path.join(out, "checkpoint.mclp")
     save_checkpoint(params, ckpt)
     with open(os.path.join(out, "report.json"), "w") as fh:

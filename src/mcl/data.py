@@ -56,15 +56,14 @@ _RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
 
 
 def check_fields(spec, rules: dict[str, str]) -> None:
-    """Validate a settings dataclass: each field has its default's type and,
-    if a float, is finite, and each field in rules meets its rule, a key of
-    _RULES. A failure is a ValueError that starts with the field's name."""
+    """Validate a settings dataclass: each field has its default's type, int
+    or float, and, if a float, is finite, and each field in rules meets its
+    rule, a key of _RULES. A failure is a ValueError naming the field."""
     for f in fields(spec):
-        # a float field also takes an int; a bool passes only for a bool field
+        # a float field also takes an int; a bool, an int to Python, never
         value, kind = getattr(spec, f.name), type(f.default)
         accepted = (int, float) if kind is float else kind
-        if (isinstance(value, bool) != (kind is bool)
-                or not isinstance(value, accepted)):
+        if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if kind is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")

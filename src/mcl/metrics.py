@@ -19,6 +19,8 @@ import numpy as np
 from .cluster import dbscan
 from .geometry import ENTRY_COUNTER, clustering_distance
 
+MAX_RANK = 20  # the CMC curve's length when the gallery is not shorter
+
 
 @dataclass
 class CostProfile:
@@ -28,8 +30,8 @@ class CostProfile:
 
 
 def compute_map_cmc(query_emb: np.ndarray, gallery_emb: np.ndarray,
-                    query_ids: np.ndarray, gallery_ids: np.ndarray,
-                    max_rank: int = 20) -> tuple[float, np.ndarray]:
+                    query_ids: np.ndarray, gallery_ids: np.ndarray
+                    ) -> tuple[float, np.ndarray]:
     """Mean AP and CMC over queries. Requires every query identity in the gallery."""
     query_emb = np.asarray(query_emb, dtype=np.float64)
     gallery_emb = np.asarray(gallery_emb, dtype=np.float64)
@@ -41,7 +43,7 @@ def compute_map_cmc(query_emb: np.ndarray, gallery_emb: np.ndarray,
     missing = np.setdiff1d(query_ids, gallery_ids)
     if missing.size:
         raise ValueError(f"query identities absent from gallery: {missing[:5].tolist()}")
-    max_rank = min(max_rank, ng)
+    max_rank = min(MAX_RANK, ng)
     dist = 1.0 - query_emb @ gallery_emb.T
     aps = np.empty(nq)
     cmc_hits = np.zeros(max_rank)

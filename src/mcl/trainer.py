@@ -6,8 +6,10 @@ prototype bank from the cluster means, and trains with InfoNCE + momentum
 bank updates. Phase 2 annotates the remaining subsets with hardened soft
 labels under non-overlapping per-subset label spaces and trains on two
 augmented views per sample with the consistency + soft-weighted triplet
-objective. Baseline regimes: "all" (full-pool clustering every epoch, no
-phase 2) and "naive" (fixed subsets consumed sequentially, phase 1 only).
+objective. The regimes are the seven schemes: "mcl"; the baselines "all"
+(full-pool clustering every epoch, no phase 2) and "naive" (fixed subsets in
+turn, phase 1 only); and "mcl" without one part: "no_sc" (consistency loss),
+"plain" (triplet soft weights), "fixed" (re-split), "shared" (label spaces).
 
 Everything is deterministic given (pool, config): rng streams are derived
 from the config seed, and reductions have a fixed order.
@@ -33,7 +35,7 @@ from .model import DegenerateEmbeddingError, EncoderParams, OptimizerState, \
     lr_at_epoch
 from .protobank import NoClustersError, PrototypeBank
 
-REGIMES = ("mcl", "all", "naive")
+REGIMES = ("mcl", "all", "naive", "no_sc", "plain", "fixed", "shared")
 
 EPS_WIDEN_STEP = 0.05
 EPS_CEILING = 0.95
@@ -46,7 +48,7 @@ class NumericError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """Run settings, checked by check_fields against RULES (field -> rule)
-    and by two cross-field rules; the defaults are the gated run."""
+    and two cross-field rules; the defaults are the gated run of each regime."""
 
     n_subsets: int = 2
     epochs: int = 30
@@ -71,11 +73,6 @@ class TrainConfig:
     drop_p: float = 0.15
     holdout_fraction: float = 0.25
     seed: int = 1
-    # ablation switches
-    fixed_split: bool = False
-    shared_label_space: bool = False
-    no_sc: bool = False
-    plain_triplet: bool = False
 
     RULES = {
         "n_subsets": ">= 1", "epochs": ">= 1", "warmup_epochs": ">= 0",
@@ -222,7 +219,8 @@ class Phase2Stats:
     triplet_skipped: int = 0
 
 
-def _batch_hard_triplet(v: np.ndarray, ids: np.ndarray, config: TrainConfig) -> LossValue:
+def _batch_hard_triplet(v: np.ndarray, ids: np.ndarray, margin: float,
+                        soft_weight: bool = True) -> LossValue:
     """Hardest positive / hardest negative per anchor within the batch."""
     d = np.maximum(2.0 - 2.0 * (v @ v.T), 0.0)  # unit rows
     same = ids[:, None] == ids[None, :]
@@ -230,8 +228,8 @@ def _batch_hard_triplet(v: np.ndarray, ids: np.ndarray, config: TrainConfig) -> 
     diff = ids[:, None] != ids[None, :]
     hp = np.argmax(np.where(same, d, -np.inf), axis=1)
     hn = np.argmin(np.where(diff, d, np.inf), axis=1)
-    tri = soft_weighted_triplet_batch(v, v[hp], v[hn], config.margin,
-                                      soft_weight=not config.plain_triplet)
+    tri = soft_weighted_triplet_batch(v, v[hp], v[hn], margin,
+                                      soft_weight=soft_weight)
     gv = tri.grads["f_a"].copy()
     np.add.at(gv, hp, tri.grads["f_p"])
     np.add.at(gv, hn, tri.grads["f_n"])
@@ -241,23 +239,24 @@ def _batch_hard_triplet(v: np.ndarray, ids: np.ndarray, config: TrainConfig) -> 
 def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
                      bank: PrototypeBank, params: EncoderParams,
                      opt: OptimizerState, config: TrainConfig,
-                     rng: np.random.Generator) -> Phase2Stats:
+                     rng: np.random.Generator,
+                     regime: str = "mcl") -> Phase2Stats:
     """Annotate the rest subsets with hardened prototype labels, then polish.
 
     Identity = (subset, argmax) realized as argmax + subset offset, so two
-    samples from different subsets never count as positives unless the
-    shared-label-space ablation is on. Each drawn sample contributes two
-    augmented views, stacked as [view a; view b] through one encoder forward
-    and one backward per batch; the triplet term mines batch-hard within the
+    samples from different subsets never count as positives, except under
+    "shared". Each drawn sample contributes two augmented views, stacked as
+    [view a; view b] through one encoder forward and one backward per batch;
+    the triplet term ("plain": unweighted) mines batch-hard within the
     stacked views and is skipped (with a warning) when fewer than two
-    identities are in reach.
+    identities are in reach; "no_sc" drops the consistency term.
     """
     k_classes = bank.num_classes
     positions, ids = [], []
     for j, sub in enumerate(rest_subsets):
         emb = encode_batch(params, pool_features[sub])
         hard = bank.harden(bank.soft_label_batch(emb))
-        offset = 0 if config.shared_label_space else j * k_classes
+        offset = 0 if regime == "shared" else j * k_classes
         positions.append(sub)
         ids.append(hard + offset)
     positions = np.concatenate(positions)
@@ -282,7 +281,7 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
         v2, cache = encode_forward(params, np.concatenate([view_a, view_b]))
         ids2 = np.concatenate([batch_ids, batch_ids])
 
-        if config.no_sc:
+        if regime == "no_sc":
             l_sc = LossValue(0.0, {"v": np.zeros_like(v2)})
         else:
             sc = siamese_consistency_batch(*np.split(v2, 2), bank)
@@ -290,7 +289,8 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
             l_sc = LossValue(sc.value, {"v": g})
 
         if k_classes >= 2 and np.unique(batch_ids).size >= 2:
-            l_tri = _batch_hard_triplet(v2, ids2, config)
+            l_tri = _batch_hard_triplet(v2, ids2, config.margin,
+                                        soft_weight=regime != "plain")
         else:
             l_tri = LossValue(0.0, {"v": np.zeros_like(v2)})
             skipped += 1
@@ -443,22 +443,20 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
             x1 = fixed_subsets[stage_of_epoch[epoch]]
             rest: list[np.ndarray] = []
         else:
-            if regime == "mcl" and not config.fixed_split:
-                subsets = epoch_split(n, config.n_subsets, config.seed + epoch)
-            else:
+            if regime in ("all", "fixed"):
                 subsets = fixed_subsets
+            else:
+                subsets = epoch_split(n, config.n_subsets, config.seed + epoch)
             x1, rest = subsets[0], subsets[1:]
 
         labels_full = np.full(n, -1, dtype=np.int64)
         try:
             bank, p1 = run_phase1_epoch(features[x1], params, opt, config, rng1)
             labels_full[x1] = p1.assignment.labels
-            run_p2 = (regime == "mcl" and rest
-                      and epoch >= config.warmup_epochs)
             p2 = None
-            if run_p2:
+            if rest and epoch >= config.warmup_epochs:  # "all", "naive": none
                 p2 = run_phase2_epoch(features, rest, bank, params, opt,
-                                      config, rng2)
+                                      config, rng2, regime)
                 # offset past the phase-1 cluster ids so the snapshot spaces
                 # stay disjoint
                 labels_full[p2.positions] = p2.hardened + bank.num_classes

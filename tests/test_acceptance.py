@@ -17,9 +17,8 @@ from mcl.metrics import profile_clustering
 from mcl.model import EncoderParams, OptimizerState
 from mcl.protobank import PrototypeBank
 from mcl.trainer import (
+    REGIMES,
     TrainConfig,
-    benchmark_config,
-    benchmark_genspec,
     epoch_split,
     run_phase2_epoch,
     train,
@@ -58,24 +57,19 @@ def _line(num, name, ok, detail=""):
 
 @pytest.fixture(scope="session")
 def benchmark_runs():
-    """All seven benchmark schemes, trained once and shared across tests."""
-    pool = generate_pool(benchmark_genspec())
-    base = benchmark_config()
-    schemes = {
-        "all": (base, "all"),
-        "mcl": (base, "mcl"),
-        "naive": (base, "naive"),
-        "no_sc": (benchmark_config(no_sc=True), "mcl"),
-        "plain": (benchmark_config(plain_triplet=True), "mcl"),
-        "fixed": (benchmark_config(fixed_split=True), "mcl"),
-        "shared": (benchmark_config(shared_label_space=True), "mcl"),
-    }
+    """All seven benchmark schemes, one per regime, trained once on the
+    default pool and config and shared across tests."""
+    pool = generate_pool(GenSpec())
     runs = {}
-    for name, (cfg, regime) in schemes.items():
+    for name in REGIMES:
         t0 = time.perf_counter()
-        _, report = train(pool, cfg, regime=regime)
+        _, report = train(pool, TrainConfig(), name)
         runs[name] = (report, time.perf_counter() - t0)
     return runs
+
+
+def test_every_regime_is_pinned():
+    assert set(REGIMES) == set(FROZEN_MAP)
 
 
 def test_criterion_1_gradient_suite():

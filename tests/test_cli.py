@@ -79,8 +79,7 @@ TRAIN_OPTIONS = [
     "--momentum-m", "--margin", "--lambda-tri", "--tau", "--eps", "--min-pts",
     "--k-neighbors", "--min-cluster-fraction", "--lr", "--weight-decay",
     "--d-hidden", "--d-emb", "--sigma-aug", "--drop-p", "--holdout-fraction",
-    "--seed", "--fixed-split", "--shared-label-space", "--no-sc",
-    "--plain-triplet",
+    "--seed",
 ]
 
 
@@ -291,6 +290,26 @@ class TestTrain:
                      "--eps", "1.0"] + TRAIN_FLAGS)
         assert code == EXIT_DATA
 
+    def test_config_file_ablation_key_is_data_error(self, pool_file,
+                                                    tmp_path, capsys):
+        # the ablations are regimes, not config fields
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"no_sc": True}))
+        code = main(["train", pool_file, "--config", str(cfg),
+                     "-o", str(tmp_path / "r")] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+        assert "unknown config keys ['no_sc']" in capsys.readouterr().err
+
+    def test_unusable_out_dir_fails_before_training(self, pool_file,
+                                                    tmp_path, monkeypatch):
+        def never(*args):
+            raise AssertionError("trained before checking the output path")
+        monkeypatch.setattr("mcl.cli.train", never)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        code = main(["train", pool_file, "-o", str(taken)] + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+
     def test_config_file_wrong_type_is_data_error(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lr": "abc"}))
@@ -383,19 +402,25 @@ class TestTrain:
         assert report["config"]["epochs"] == 3
         assert report["config"]["warmup_epochs"] == 0
 
-    @pytest.mark.parametrize("flag,name", [
-        ("--fixed-split", "fixed_split"),
-        ("--shared-label-space", "shared_label_space"),
+    @pytest.mark.parametrize("flag,regime", [
+        ("--fixed-split", "fixed"),
+        ("--shared-label-space", "shared"),
         ("--no-sc", "no_sc"),
-        ("--plain-triplet", "plain_triplet"),
+        ("--plain-triplet", "plain"),
     ])
-    def test_ablation_switch_sets_field(self, pool_file, tmp_path, flag, name):
+    def test_ablation_switch_sets_field(self, pool_file, tmp_path, flag,
+                                        regime):
+        # an ablation is a regime, recorded as the report's regime field;
+        # its old switch is no option
         out = tmp_path / "run"
-        code = main(["train", pool_file, "-o", str(out), flag] + TRAIN_FLAGS)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", pool_file, "-o", str(out), flag] + TRAIN_FLAGS)
+        assert exc.value.code == 2
+        code = main(["train", pool_file, "-o", str(out), "--regime", regime]
+                    + TRAIN_FLAGS)
         assert code == EXIT_OK
-        config = json.loads((out / "report.json").read_text())["config"]
-        assert config[name] is True
-        assert [k for k, v in config.items() if v is True] == [name]
+        assert json.loads((out / "report.json").read_text())["regime"] \
+            == regime
 
     def test_seed_flag_beats_file(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mcl.geometry import ENTRY_COUNTER
 from mcl.metrics import (
+    MAX_RANK,
     clustering_quality,
     compute_map_cmc,
     labeling_correct_fraction,
@@ -41,14 +42,14 @@ class TestMapCmc:
             g = unit_rows(rng, ng, 6)
             q_ids = rng.integers(0, 4, size=nq)
             g_ids = np.concatenate([np.arange(4), rng.integers(0, 4, size=ng - 4)])
-            mean_ap, cmc = compute_map_cmc(q, g, q_ids, g_ids, max_rank=10)
+            mean_ap, cmc = compute_map_cmc(q, g, q_ids, g_ids)
             dist = 1.0 - q @ g.T
             want_aps = []
-            want_cmc = np.zeros(min(10, ng))
+            want_cmc = np.zeros(min(MAX_RANK, ng))
             for i in range(nq):
                 rel = g_ids == q_ids[i]
                 want_aps.append(average_precision(dist[i], rel))
-                want_cmc += cmc_curve(dist[i], rel, min(10, ng))
+                want_cmc += cmc_curve(dist[i], rel, min(MAX_RANK, ng))
             assert mean_ap == pytest.approx(np.mean(want_aps), abs=1e-12)
             assert np.allclose(cmc, want_cmc / nq, atol=1e-12)
 

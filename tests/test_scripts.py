@@ -41,7 +41,7 @@ def test_sweep_dbscan(tmp_path):
 
 def test_run_benchmark(tmp_path):
     out = tmp_path / "bench.csv"
-    done = _run("run_benchmark.py", "--schemes", "mcl", "--epochs", "2",
+    done = _run("run_benchmark.py", "--schemes", "no_sc", "--epochs", "2",
                 "--series", "-o", str(out))
     assert done.returncode == 0, done.stderr
     assert re.search(r"^  correct-pair: \d\.\d{4} \d\.\d{4}$", done.stdout,
@@ -49,7 +49,7 @@ def test_run_benchmark(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["scheme", "mAP", "rank1", "entries", "seconds"]
-    assert [r[0] for r in rows[1:]] == ["mcl"]
+    assert [r[0] for r in rows[1:]] == ["no_sc"]
 
 
 @pytest.mark.parametrize("script,args", [

@@ -55,9 +55,8 @@ class TestTrainConfig:
         ("weight_decay", -1e-4), ("lambda_tri", float("inf")),
         ("tau", float("nan")), ("eps", 1.0), ("eps", 1.5),
         ("lr", "abc"), ("lr", True), ("margin", None), ("epochs", 30.0),
-        ("seed", True), ("k_neighbors", "30"), ("fixed_split", 1),
-        ("no_sc", "yes"), ("sigma_aug", -1.0), ("drop_p", 1.0),
-        ("drop_p", -0.1), ("lambda_tri", -2.0),
+        ("seed", True), ("k_neighbors", "30"), ("sigma_aug", -1.0),
+        ("drop_p", 1.0), ("drop_p", -0.1), ("lambda_tri", -2.0),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -76,7 +75,7 @@ class TestTrainConfig:
             TrainConfig.from_dict({"learning_rate": 0.1})
 
     def test_round_trip(self):
-        cfg = TrainConfig(epochs=7, margin=0.4, no_sc=True)
+        cfg = TrainConfig(epochs=7, margin=0.4, seed=3)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_benchmark_fixtures(self):
@@ -242,7 +241,7 @@ class TestBatchHard:
             v2 = unit_rows(rng, 2 * b, 6)
             ids = np.concatenate([np.arange(b), np.arange(b)])
             hp, hn = self._mine_oracle(v2, ids)
-            got = _batch_hard_triplet(v2, ids, cfg)
+            got = _batch_hard_triplet(v2, ids, cfg.margin)
             from mcl.losses import soft_weighted_triplet_batch
             want = soft_weighted_triplet_batch(v2, v2[hp], v2[hn], cfg.margin)
             assert got.value == pytest.approx(want.value, abs=1e-12)
@@ -253,7 +252,7 @@ class TestBatchHard:
         cfg = _fast_config()
         v2 = unit_rows(rng, 4, 5)
         ids = np.array([0, 0, 1, 1])
-        got = _batch_hard_triplet(v2, ids, cfg)
+        got = _batch_hard_triplet(v2, ids, cfg.margin)
         hp, hn = self._mine_oracle(v2, ids)
         from mcl.losses import soft_weighted_triplet_batch
         tri = soft_weighted_triplet_batch(v2, v2[hp], v2[hn], cfg.margin)
@@ -304,13 +303,12 @@ class TestPhase2:
             assert np.all((ids_j >= 3 * j) & (ids_j < 3 * (j + 1)))
 
     def test_shared_label_space_ablation_collapses_offsets(self, rng):
-        cfg = _fast_config(p2_identities=2, i2_instances=2,
-                           shared_label_space=True)
+        cfg = _fast_config(p2_identities=2, i2_instances=2)
         bank, params, opt = self._setup(rng, k=3, d=6)
         feats = rng.standard_normal((20, 6))
         rest = [np.arange(0, 10), np.arange(10, 20)]
         stats = run_phase2_epoch(feats, rest, bank, params, opt, cfg,
-                                 np.random.default_rng(2))
+                                 np.random.default_rng(2), "shared")
         assert np.all((stats.hardened >= 0) & (stats.hardened < 3))
 
     def test_single_prototype_skips_triplet_with_warning(self, rng):
@@ -371,7 +369,8 @@ class TestPhase2:
         assert np.unique(ids[local]).size >= 2  # the triplet term runs
         sc = siamese_consistency_batch(va, vb, bank)
         g_sc = np.concatenate([sc.grads["f_s"], sc.grads["f_t"]])
-        tri = _batch_hard_triplet(v2, np.concatenate([ids[local]] * 2), cfg)
+        tri = _batch_hard_triplet(v2, np.concatenate([ids[local]] * 2),
+                                  cfg.margin)
         gv = g_sc + cfg.lambda_tri * tri.grads["v"]
         b = va.shape[0]
         want = encode_backward(params, cache_a, gv[:b])
@@ -483,12 +482,22 @@ class TestTrain:
 
     def test_fixed_split_changes_later_epochs(self, small_pool):
         r_free = train(small_pool, _fast_config(epochs=2), regime="mcl")[1]
-        r_fix = train(small_pool, _fast_config(epochs=2, fixed_split=True),
-                      regime="mcl")[1]
+        r_fix = train(small_pool, _fast_config(epochs=2), regime="fixed")[1]
         # epoch 0 uses the same plan either way; epoch 1 re-splits only
         # without the ablation (mAP may saturate, the loss cannot coincide)
         assert r_free.epochs[0].phase1_loss == r_fix.epochs[0].phase1_loss
         assert r_free.epochs[1].phase1_loss != r_fix.epochs[1].phase1_loss
+
+    @pytest.mark.parametrize("ablation", ["no_sc", "plain"])
+    def test_phase2_ablation_trains_other_weights(self, small_pool, ablation):
+        # both act only in phase 2, so reaching it must change the weights
+        cfg = _fast_config(epochs=2)
+        full = train(small_pool, cfg, regime="mcl")[0]
+        ablated, report = train(small_pool, cfg, regime=ablation)
+        assert report.epochs[-1].n_phase2 > 0
+        assert report.regime == ablation
+        assert any(a.tobytes() != b.tobytes() for (_, a), (_, b)
+                   in zip(full.tensors(), ablated.tensors()))
 
     def test_invalid_regime_rejected(self, small_pool):
         with pytest.raises(ValueError, match="regime"):
