@@ -14,30 +14,30 @@ import sys
 
 import numpy as np
 
+from mcl.cli import comma_list
 from mcl.geometry import _worker_count
 from mcl.metrics import profile_clustering
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
-    ap.add_argument("--sizes", default="2000,8000,20000",
-                    help="comma list of pool sizes")
-    ap.add_argument("--fractions", default="1.0,0.5,0.25")
+    ap.add_argument("--sizes", type=comma_list(int),
+                    default="2000,8000,20000", help="comma list of pool sizes")
+    ap.add_argument("--fractions", type=comma_list(float),
+                    default="1.0,0.5,0.25")
     ap.add_argument("--d", type=int, default=64)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
 
-    sizes = [int(s) for s in args.sizes.split(",")]
-    fractions = sorted({float(f) for f in args.fractions.split(",")},
-                       reverse=True)
+    fractions = sorted(set(args.fractions), reverse=True)
     rng = np.random.default_rng(args.seed)
     print(f"workers {_worker_count()} (threads per clustering pass)",
           flush=True)
 
     rows = []
-    for n in sizes:
+    for n in args.sizes:
         x = rng.standard_normal((n, args.d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         base = None

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from mcl.cli import comma_list
 from mcl.cluster import dbscan
 from mcl.data import GenSpec, generate_pool
 from mcl.geometry import clustering_distance
@@ -26,8 +27,9 @@ def main(argv=None):
     ap.add_argument("--intra-class-sigma", type=float, default=0.15)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--k-neighbors", type=int, default=30)
-    ap.add_argument("--eps", default="0.4,0.5,0.6,0.7,0.8,0.9")
-    ap.add_argument("--min-pts", default="2,4,6")
+    ap.add_argument("--eps", type=comma_list(float),
+                    default="0.4,0.5,0.6,0.7,0.8,0.9")
+    ap.add_argument("--min-pts", type=comma_list(int), default="2,4,6")
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
 
@@ -41,8 +43,8 @@ def main(argv=None):
     dm = clustering_distance(x, k=args.k_neighbors)
 
     rows = []
-    for eps in (float(e) for e in args.eps.split(",")):
-        for min_pts in (int(m) for m in args.min_pts.split(",")):
+    for eps in args.eps:
+        for min_pts in args.min_pts:
             got = dbscan(dm, eps=eps, min_pts=min_pts)
             prec, rec, f, ari = clustering_quality(got.labels,
                                                    pool.identities)

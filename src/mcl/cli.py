@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Verbs: gen (synthesize a feature pool), train (one regime, full artifact
-set), compare (the regime table + budget sweep), eval (retrieval metrics for
-a checkpoint), dump-embeddings (MCLF export for external plotting).
+set), compare (every regime at each subset count, each with train's
+artifacts, plus the table and budget sweep), eval (retrieval metrics for a
+checkpoint), dump-embeddings (MCLF export for external plotting).
 
 A flag that sets a TrainConfig or GenSpec field is --<field-name>, and no
 flag may be abbreviated; compare's --n-subsets lists the subset counts N.
@@ -29,8 +30,8 @@ from .data import FeatureFileError, GenSpec, Pool, generate_pool, load_pool, \
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
-from .trainer import NumericError, REGIMES, TrainConfig, _check_regime, \
-    evaluate, holdout_split, train
+from .trainer import NumericError, REGIMES, TrainConfig, TrainReport, \
+    _check_regime, evaluate, holdout_split, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,10 +78,13 @@ def _resolve_config(args, skip=()) -> TrainConfig:
     return TrainConfig.from_dict(merged)
 
 
-def _subset_counts(text: str) -> list[int]:
-    """compare's --n-subsets, a comma list of integers; argparse reports a
-    bad item as a usage error that names the flag."""
-    return [int(item) for item in text.split(",")]
+def comma_list(cast):
+    """An argparse type for a comma list of cast items, such as compare's
+    --n-subsets; argparse reports a bad item as a usage error (exit 2)."""
+    def parse(text: str) -> list:
+        return [cast(item) for item in text.split(",")]
+    parse.__name__ = f"{cast.__name__} list"  # argparse's message names it
+    return parse
 
 
 def _write_csv(path, header: list[str], rows) -> None:
@@ -113,46 +117,52 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    pool = load_pool(args.pool)
-    config = _resolve_config(args)
-    # as in compare: the regime's rules, then the output path, before training
-    _check_regime(config, args.regime)
-    out = args.out_dir
+RUN_FILES = ["checkpoint.mclp", "report.json", "cost.csv"]
+
+
+def _train_into(pool, config: TrainConfig, regime: str, out) -> TrainReport:
+    """Make the directory out, train one regime, and write RUN_FILES there."""
     os.makedirs(out, exist_ok=True)
-    params, report = train(pool, config, args.regime)
-    ckpt = os.path.join(out, "checkpoint.mclp")
-    save_checkpoint(params, ckpt)
+    params, report = train(pool, config, regime)
+    save_checkpoint(params, os.path.join(out, "checkpoint.mclp"))
     with open(os.path.join(out, "report.json"), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
         fh.write("\n")
     _write_csv(os.path.join(out, "cost.csv"),
                ["epoch", "distance_entries", "peak_bytes", "seconds"],
                ([e.epoch, e.distance_entries, e.distance_entries * 8,
                  f"{e.seconds:.6f}"] for e in report.epochs))
-    _write_manifest(args, report.config,  # "all" runs, and records, N = 1
-                    ["checkpoint.mclp", "report.json", "cost.csv"])
+    return report
+
+
+def cmd_train(args) -> int:
+    pool = load_pool(args.pool)
+    config = _resolve_config(args)
+    _check_regime(pool, config, args.regime)  # as in compare: before output
+    report = _train_into(pool, config, args.regime, args.out_dir)
+    _write_manifest(args, report.config, RUN_FILES)  # "all" records N = 1
     print(f"{args.regime}: final mAP {report.final_map:.4f} "
           f"rank1 {report.final_rank1:.4f} "
           f"entries {report.total_entries} "
-          f"wall {report.total_seconds:.1f}s -> {out}")
+          f"wall {report.total_seconds:.1f}s -> {args.out_dir}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     pool = load_pool(args.pool)
     config = _resolve_config(args, skip=("n_subsets",))
-    # every scheme's config is built and checked before any training
+    # every scheme's config is built and checked before any output or training
     schemes = []
     for n in sorted(set(args.subset_counts)):
-        for regime in ("mcl", "naive") if n > 1 else ("all",):
+        # N = 1 is "all"; every N > 1 runs the other six, in REGIMES order
+        for regime in [r for r in REGIMES if r != "all"] if n > 1 else ["all"]:
             cfg = replace(config, n_subsets=n)
-            _check_regime(cfg, regime)
+            _check_regime(pool, cfg, regime)
             schemes.append((f"{regime}@{n}" if n > 1 else "all", regime, cfg))
-    os.makedirs(args.out_dir, exist_ok=True)
     rows = []
     for name, regime, cfg in schemes:
-        _, report = train(pool, cfg, regime)
+        report = _train_into(pool, cfg, regime,
+                             os.path.join(args.out_dir, name))
         per_pass = max(e.distance_entries for e in report.epochs)
         rows.append({
             "scheme": name, "n_subsets": cfg.n_subsets,
@@ -164,7 +174,8 @@ def cmd_compare(args) -> int:
               f"{report.final_rank1:.4f} peak_bytes {per_pass * 8}")
     _write_csv(os.path.join(args.out_dir, "compare.csv"), list(rows[0]),
                (row.values() for row in rows))
-    # budget view: best mAP attainable under each per-pass byte budget
+    # budget view: best mAP attainable under each per-pass byte budget; max
+    # keeps the first of equal rows, so a tie goes to the earlier scheme
     sweep = []
     for budget in sorted({row["peak_bytes"] for row in rows}):
         fits = [row for row in rows if row["peak_bytes"] <= budget]
@@ -174,7 +185,8 @@ def cmd_compare(args) -> int:
                ["budget_bytes", "scheme", "mAP"], sweep)
     # each scheme's N is in compare.csv; the base config's N never ran
     ran = {k: v for k, v in config.to_dict().items() if k != "n_subsets"}
-    _write_manifest(args, ran, ["compare.csv", "budget_sweep.csv"])
+    _write_manifest(args, ran, ["compare.csv", "budget_sweep.csv"] + [
+        os.path.join(name, f) for name, _, _ in schemes for f in RUN_FILES])
     return EXIT_OK
 
 
@@ -230,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("-o", "--out-dir", default="run")
     t.set_defaults(func=cmd_train)
 
-    c = verb("compare", "regime comparison table + budget sweep")
+    c = verb("compare", "every regime's run, table + budget sweep")
     c.add_argument("pool")
-    c.add_argument("--n-subsets", dest="subset_counts", default="1,2,4",
-                   type=_subset_counts,
+    c.add_argument("--n-subsets", dest="subset_counts", default="1,2",
+                   type=comma_list(int),
                    help="comma list of subset counts N; N = 1 is 'all'")
     c.add_argument("-o", "--out-dir", default="compare")
     c.set_defaults(func=cmd_compare)

@@ -350,7 +350,10 @@ class TrainReport:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        epochs = d.pop("epochs")  # last, after the run totals
+        # JSON has no NaN: a missing loss or label score is written as null
+        epochs = [{k: None if isinstance(v, float) and math.isnan(v) else v
+                   for k, v in e.items()}
+                  for e in d.pop("epochs")]  # last, after the run totals
         return {**d, "final_map": self.final_map,
                 "final_rank1": self.final_rank1,
                 "total_entries": self.total_entries,
@@ -393,19 +396,25 @@ def evaluate(params: EncoderParams, pool: Pool, query_pos: np.ndarray,
                            pool.identities[gallery_pos])
 
 
-def _check_regime(config: TrainConfig, regime: str) -> None:
-    """The rules a regime sets on a config, checked before any work."""
+def _check_regime(pool: Pool, config: TrainConfig, regime: str) -> None:
+    """The rules a regime sets on a config and pool; train and each verb
+    check them before any work."""
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if regime == "naive" and config.n_subsets > config.epochs:
         # each fixed subset gets a stage of at least one epoch
         raise ValueError(f"the naive regime needs n_subsets <= epochs, got "
                          f"n_subsets {config.n_subsets} > epochs {config.epochs}")
+    n_subsets = 1 if regime == "all" else config.n_subsets
+    n_train = holdout_split(pool, config.holdout_fraction)[0].size
+    if config.p_identities * config.i_instances > math.ceil(n_train / n_subsets):
+        raise ValueError(f"phase-1 batch larger than {n_train} train rows / "
+                         f"n_subsets {n_subsets} (p_identities x i_instances)")
 
 
 def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
           ) -> tuple[EncoderParams, TrainReport]:
-    _check_regime(config, regime)
+    _check_regime(pool, config, regime)
     if regime == "all":  # one subset: the report records the N that ran
         config = replace(config, n_subsets=1)
 
@@ -414,9 +423,6 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
     true_ids = pool.identities[train_pos]
     n = features.shape[0]
     fixed_subsets = epoch_split(n, config.n_subsets, config.seed)
-    if config.p_identities * config.i_instances > math.ceil(n / config.n_subsets):
-        raise ValueError("phase-1 batch larger than the meta-training subset; "
-                         "lower p_identities/i_instances or n_subsets")
 
     init_rng = np.random.default_rng([config.seed, 0])
     params = EncoderParams.random_init(pool.d_raw, config.d_hidden,

@@ -43,8 +43,11 @@ def small_pool():
                                  d_raw=16, intra_class_sigma=0.1, seed=3))
 
 
+# 8 identities x 4 samples; enough for a fast end-to-end run
+TINY_SPEC = GenSpec(num_identities=8, samples_per_identity=4, d_raw=8,
+                    intra_class_sigma=0.05, seed=5)
+
+
 @pytest.fixture
 def tiny_pool():
-    """8 identities x 4 samples; enough for a fast end-to-end run."""
-    return generate_pool(GenSpec(num_identities=8, samples_per_identity=4,
-                                 d_raw=8, intra_class_sigma=0.05, seed=5))
+    return generate_pool(TINY_SPEC)

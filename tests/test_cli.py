@@ -16,6 +16,8 @@ from mcl.data import GenSpec, generate_pool, load_pool, read_features, \
 from mcl.model import load_checkpoint, write_sections
 from mcl.trainer import NumericError, TrainConfig
 
+from .conftest import TINY_SPEC
+
 
 @pytest.fixture
 def pool_file(tmp_path, tiny_pool):
@@ -136,14 +138,12 @@ def test_validation_error_names_the_flag(pool_file, tmp_path, capsys, verb,
     assert f"error: {field} must" in capsys.readouterr().err
 
 
-def _readme_command_line():
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    return section, section.split("```")[1]
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_readme_flags_are_options():
-    section, _ = _readme_command_line()
+    section = README.read_text().split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
     options = {opt for verb in _verb_parsers().values()
                for a in verb._actions for opt in a.option_strings}
     # a flag starts a word or follows a slash, as in "--p/--i"
@@ -152,10 +152,12 @@ def test_readme_flags_are_options():
 
 
 def test_readme_commands_parse():
-    _, block = _readme_command_line()
-    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    # every line of a fenced block that runs mcl, in any section
+    blocks = README.read_text().split("```")[1::2]
+    lines = [line.split("#")[0].split() for block in blocks
+             for line in block.splitlines()]
     commands = [words[1:] for words in lines if words[:1] == ["mcl"]]
-    assert commands
+    assert len(commands) >= 9
     for argv in commands:
         build_parser().parse_args(argv)  # a usage error raises SystemExit
 
@@ -310,6 +312,19 @@ class TestTrain:
         code = main(["train", pool_file, "-o", str(taken)] + TRAIN_FLAGS)
         assert code == EXIT_DATA
 
+    def test_phase1_batch_rule_fails_before_output(self, pool_file, tmp_path,
+                                                   monkeypatch, capsys):
+        # 24 train rows / 8 subsets = 3 rows, fewer than the 2 x 2 batch
+        def never(*args):
+            raise AssertionError("trained before checking the batch rule")
+        monkeypatch.setattr("mcl.cli.train", never)
+        out = tmp_path / "r"
+        code = main(["train", pool_file, "--n-subsets", "8", "-o", str(out)]
+                    + TRAIN_FLAGS)
+        assert code == EXIT_DATA
+        assert "phase-1 batch" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_wrong_type_is_data_error(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"lr": "abc"}))
@@ -443,17 +458,35 @@ class TestTrain:
         assert report["regime"] == "naive"
 
 
+SCHEMES = ["all", "mcl@2", "naive@2", "no_sc@2", "plain@2", "fixed@2",
+           "shared@2"]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestCompare:
-    def test_table_and_budget_sweep(self, pool_file, tmp_path):
-        out = tmp_path / "cmp"
-        code = main(["compare", pool_file, "--n-subsets", "1,2",
-                     "-o", str(out)] + TRAIN_FLAGS)
+    @pytest.fixture(scope="class")
+    def compared(self, tmp_path_factory):
+        # one compare run at N = 1, 2 (the seven regimes) on tiny_pool
+        root = tmp_path_factory.mktemp("compare")
+        pool = str(root / "pool.mclf")
+        write_features(generate_pool(TINY_SPEC), pool)
+        out = root / "cmp"
+        code = main(["compare", pool, "--n-subsets", "1,2", "-o", str(out)]
+                    + TRAIN_FLAGS)
         assert code == EXIT_OK
+        return pool, out
+
+    def test_table_and_budget_sweep(self, compared):
+        _, out = compared
         with open(out / "compare.csv") as fh:
             rows = list(csv.DictReader(fh))
-        schemes = [r["scheme"] for r in rows]
-        assert schemes == ["all", "mcl@2", "naive@2"]
-        assert [int(r["n_subsets"]) for r in rows] == [1, 2, 2]
+        assert [r["scheme"] for r in rows] == SCHEMES
+        assert [int(r["n_subsets"]) for r in rows] == [1] + [2] * 6
         for r in rows:
             assert 0.0 <= float(r["mAP"]) <= 1.0
             assert int(r["peak_bytes"]) > 0
@@ -466,9 +499,40 @@ class TestCompare:
             sweep = list(csv.DictReader(fh))
         budgets = [int(r["budget_bytes"]) for r in sweep]
         assert budgets == sorted(budgets)
-        best_small = sweep[0]
-        assert best_small["scheme"] in ("mcl@2", "naive@2")
-        assert (out / "manifest.json").exists()
+        assert sweep[0]["scheme"] in SCHEMES[1:]
+        # at N = 2 one label space is all of them, so shared@2 ties mcl@2;
+        # a tie goes to the earlier row
+        assert by["shared@2"]["mAP"] == by["mcl@2"]["mAP"]
+        assert "shared@2" not in [r["scheme"] for r in sweep]
+
+    def test_manifest_lists_every_output(self, compared):
+        _, out = compared
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"][:2] == ["compare.csv", "budget_sweep.csv"]
+        written = sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                         if p.is_file())
+        assert written == sorted(manifest["outputs"] + ["manifest.json"])
+        assert len(written) == 3 + 3 * len(SCHEMES)
+
+    def test_reports_are_strict_json(self, compared):
+        _, out = compared
+        for name in SCHEMES:
+            report = _strict_json((out / name / "report.json").read_text())
+            assert report["n_train"] == 24
+        # "all" has no phase 2: its loss is missing, written as null
+        report = _strict_json((out / "all" / "report.json").read_text())
+        assert [e["phase2_loss"] for e in report["epochs"]] == [None, None]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_checkpoint_equals_train(self, compared, tmp_path, scheme):
+        pool, out = compared
+        regime, _, n = scheme.partition("@")
+        run = tmp_path / "run"
+        code = main(["train", pool, "--regime", regime, "--n-subsets",
+                     n or "1", "-o", str(run)] + TRAIN_FLAGS)
+        assert code == EXIT_OK
+        assert (out / scheme / "checkpoint.mclp").read_bytes() == \
+            (run / "checkpoint.mclp").read_bytes()
 
     def test_manifest_hashes_config_file(self, pool_file, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -480,7 +544,9 @@ class TestCompare:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["input_hashes"]) == {pool_file, str(cfg)}
         assert all(len(h) == 64 for h in manifest["input_hashes"].values())
-        assert manifest["outputs"] == ["compare.csv", "budget_sweep.csv"]
+        assert manifest["outputs"] == ["compare.csv", "budget_sweep.csv"] + [
+            f"{name}/{f}" for name in SCHEMES[1:]
+            for f in ["checkpoint.mclp", "report.json", "cost.csv"]]
 
     def test_manifest_records_no_base_subset_count(self, pool_file,
                                                    tmp_path):
@@ -492,7 +558,7 @@ class TestCompare:
         assert code == EXIT_OK
         with open(out / "compare.csv") as fh:
             counts = [int(r["n_subsets"]) for r in csv.DictReader(fh)]
-        assert counts == [1, 2, 2, 4, 4]
+        assert counts == [1] + [2] * 6 + [4] * 6
         manifest = json.loads((out / "manifest.json").read_text())
         assert "n_subsets" not in manifest["config"]
         assert manifest["config"]["epochs"] == 4
@@ -508,7 +574,21 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "n_subsets 4 > epochs 2" in captured.err
         assert captured.out == ""
-        assert not (out / "compare.csv").exists()
+        assert not out.exists()
+
+    def test_phase1_batch_rule_fails_before_output(self, pool_file, tmp_path,
+                                                   monkeypatch, capsys):
+        # N = 8 leaves 3 of 24 train rows per subset for a 2 x 2 batch; no
+        # scheme trains, "all" and the N = 2 schemes included
+        def never(*args):
+            raise AssertionError("trained before checking the batch rule")
+        monkeypatch.setattr("mcl.cli.train", never)
+        out = tmp_path / "c"
+        code = main(["compare", pool_file, "--n-subsets", "1,2,8",
+                     "-o", str(out)] + TRAIN_FLAGS + ["--epochs", "8"])
+        assert code == EXIT_DATA
+        assert "phase-1 batch" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_subset_count_list(self, pool_file, tmp_path):
         out = tmp_path / "c"
@@ -524,7 +604,7 @@ class TestCompare:
         assert code == EXIT_OK
         with open(out / "compare.csv") as fh:
             schemes = [r["scheme"] for r in csv.DictReader(fh)]
-        assert schemes == ["mcl@2", "naive@2"]
+        assert schemes == SCHEMES[1:]
 
     def test_config_file_subset_count_is_data_error(self, pool_file,
                                                     tmp_path, capsys):

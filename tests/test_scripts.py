@@ -39,21 +39,7 @@ def test_sweep_dbscan(tmp_path):
     assert len(rows) == 6 * 3  # the default eps x min_pts grid
 
 
-def test_run_benchmark(tmp_path):
-    out = tmp_path / "bench.csv"
-    done = _run("run_benchmark.py", "--schemes", "no_sc", "--epochs", "2",
-                "--series", "-o", str(out))
-    assert done.returncode == 0, done.stderr
-    assert re.search(r"^  correct-pair: \d\.\d{4} \d\.\d{4}$", done.stdout,
-                     re.MULTILINE)
-    with open(out, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["scheme", "mAP", "rank1", "entries", "seconds"]
-    assert [r[0] for r in rows[1:]] == ["no_sc"]
-
-
 @pytest.mark.parametrize("script,args", [
-    ("run_benchmark.py", ["--sch", "mcl", "--epo", "1"]),
     ("profile_scaling.py", ["--siz", "300"]),
     ("sweep_dbscan.py", ["--num-id", "10"]),
 ])
@@ -61,3 +47,28 @@ def test_abbreviated_flag_is_usage_error(script, args):
     done = _run(script, *args)
     assert done.returncode == 2
     assert "unrecognized arguments" in done.stderr
+
+
+@pytest.mark.parametrize("script,args", [
+    ("sweep_dbscan.py", ["--eps", "0.5,abc"]),
+    ("sweep_dbscan.py", ["--min-pts", "2,x"]),
+    ("profile_scaling.py", ["--sizes", "300,x"]),
+    ("profile_scaling.py", ["--fractions", "1.0,y"]),
+])
+def test_bad_list_item_is_usage_error(script, args):
+    # the comma lists are parsed with the flags, so no work starts
+    done = _run(script, *args)
+    assert done.returncode == 2
+    assert f"argument {args[0]}: invalid" in done.stderr
+    assert done.stdout == ""
+
+
+def test_readme_names_every_script():
+    readme = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"scripts/([\w-]+\.py)", readme))
+    section = readme.split("## Scripts", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"scripts/([\w-]+\.py)", section))
+    present = {path.name for path in (ROOT / "scripts").iterdir()
+               if path.is_file()}
+    assert named <= present, named - present
+    assert present <= listed, present - listed

@@ -18,6 +18,7 @@ from mcl.trainer import (
     NumericError,
     TrainConfig,
     _batch_hard_triplet,
+    _check_regime,
     _cluster_with_widening,
     epoch_split,
     holdout_split,
@@ -438,7 +439,7 @@ class TestTrain:
         assert later.n_phase2 > 0
         assert 0.0 <= report.final_map <= 1.0
         assert report.total_entries == sum(e.distance_entries for e in report.epochs)
-        assert json.dumps(report.to_dict())  # serializable
+        assert json.dumps(report.to_dict(), allow_nan=False)  # strict JSON
 
     def test_all_regime_clusters_everything(self, small_pool):
         cfg = _fast_config(n_subsets=3)
@@ -514,6 +515,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="n_subsets 4 > epochs 2"):
             train(small_pool, cfg, regime="naive")
         assert len(train(small_pool, cfg, regime="mcl")[1].epochs) == 2
+
+    def test_phase1_batch_rule_reads_the_clustered_rows(self, small_pool):
+        # 108 train rows: N = 7 clusters up to 16 rows, room for the 4 x 4
+        # batch, N = 8 only 14; "all" clusters all 108 whatever N says
+        with pytest.raises(ValueError, match="phase-1 batch"):
+            _check_regime(small_pool, _fast_config(n_subsets=8), "mcl")
+        _check_regime(small_pool, _fast_config(n_subsets=8), "all")
+        _check_regime(small_pool, _fast_config(n_subsets=7), "mcl")
 
     def test_more_subsets_than_samples_rejected(self, small_pool):
         with pytest.raises(ValueError, match="n_subsets"):
