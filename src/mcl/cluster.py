@@ -5,6 +5,7 @@ distance <= eps, not counting itself. Clusters are the connected components
 of core points under the <= eps relation, numbered in ascending order of
 each cluster's lowest-index core. A non-core point joins the cluster of the
 lowest-index core whose eps-neighborhood contains it; the rest are outliers.
+One scan in `geometry._map_row_blocks` row blocks finds the pairs within eps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CHUNK = 512
+from .geometry import _map_row_blocks
 
 
 @dataclass
@@ -42,8 +43,8 @@ def dbscan(d: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
         return ClusterAssignment(labels=labels, num_clusters=0)
 
     # every pair within eps, row-major; the diagonal (0 <= eps) is included
-    flat = [np.flatnonzero(d[lo:lo + _CHUNK] <= eps) + lo * n
-            for lo in range(0, n, _CHUNK)]
+    flat = _map_row_blocks(
+        lambda lo, hi: np.flatnonzero(d[lo:hi] <= eps) + lo * n, n)
     rows, cols = np.divmod(np.concatenate(flat), n)
     core = np.bincount(rows, minlength=n) - 1 >= min_pts
 

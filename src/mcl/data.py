@@ -9,14 +9,14 @@ MCLF binary layout (all little-endian):
 
     4 bytes   magic ``MCLF``
     u16       version (currently 1)
-    u16       flags (bit0 = identity labels present)
+    u16       flags (must be 0x0001: identity labels present)
     u32       n (sample count)
     u32       d (feature dimension)
     n*d       float32 feature rows
-    [n]       u32 identity labels, only if flags bit0 is set
+    n         u32 identity labels
 
-A CSV fallback is accepted for import: first line ``d=<int>``, then one
-comma-separated row of d floats per sample (no labels).
+Every score is retrieval over held-out identities, so a pool must carry its
+labels: a file without them is refused, not read as one identity.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class FeatureFileError(ValueError):
 
 
 class BadMagicError(FeatureFileError):
-    """File does not start with the MCLF magic (or a parsable CSV header)."""
+    """File does not start with the MCLF magic."""
 
 
 class TruncatedFileError(FeatureFileError):
@@ -124,7 +124,7 @@ class Pool:
 
     @property
     def num_identities(self) -> int:
-        return int(self.identities.max()) + 1 if len(self) else 1
+        return np.unique(self.identities).size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pool):
@@ -169,67 +169,31 @@ def write_features(pool: Pool, path) -> None:
 
 
 def read_features(path) -> Pool:
-    """Read an MCLF file; raises distinct errors for each malformation."""
+    """Read an MCLF pool; raises distinct errors for each malformation, and
+    FeatureFileError for a file without identity labels."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}, not an MCLF file")
     if len(raw) < _HEADER.size:
-        if raw[:4] != MAGIC:
-            raise BadMagicError(f"{path}: not an MCLF file")
         raise TruncatedFileError(f"{path}: header truncated")
-    magic, version, flags, n, d = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+    _, version, flags, n, d = _HEADER.unpack_from(raw)
     if version != VERSION:
         raise FeatureFileError(f"{path}: unsupported version {version}")
+    if flags != FLAG_LABELS:
+        raise FeatureFileError(f"{path}: flags {flags:#x}, need 0x1 (labels)")
     if d == 0:
         raise DimensionMismatchError(f"{path}: zero feature dimension")
-    want = n * d * 4 + (n * 4 if flags & FLAG_LABELS else 0)
+    want = n * d * 4 + n * 4
     body = raw[_HEADER.size:]
     if len(body) < want:
         raise TruncatedFileError(f"{path}: payload has {len(body)} bytes, need {want}")
     if len(body) > want:
         raise FeatureFileError(f"{path}: {len(body) - want} bytes of trailing data")
     features = np.frombuffer(body[: n * d * 4], dtype="<f4").reshape(n, d).copy()
-    if flags & FLAG_LABELS:
-        identities = np.frombuffer(body[n * d * 4:], dtype="<u4").astype(np.int64)
-    else:
-        identities = np.zeros(n, dtype=np.int64)
+    identities = np.frombuffer(body[n * d * 4:], dtype="<u4").astype(np.int64)
     return Pool(features, identities)
 
 
-def read_features_csv(path) -> Pool:
-    """Import the CSV fallback: header ``d=<int>``, one row of d floats per sample."""
-    with open(path, "r") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("d="):
-            raise BadMagicError(f"{path}: CSV header must be 'd=<int>', got {header!r}")
-        try:
-            d = int(header[2:])
-        except ValueError:
-            raise BadMagicError(f"{path}: CSV header must be 'd=<int>', got {header!r}")
-        if d < 1:
-            raise DimensionMismatchError(f"{path}: zero feature dimension")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: row has {len(parts)} values, expected {d}"
-                )
-            rows.append([float(p) for p in parts])
-    features = np.asarray(rows, dtype=np.float32).reshape(len(rows), d)
-    return Pool(features, np.zeros(len(rows), dtype=np.int64))
-
-
-def load_pool(path) -> Pool:
-    """Load a pool by sniffing the format: MCLF magic first, CSV fallback."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == MAGIC:
-        return read_features(path)
-    if head[:2] == b"d=":
-        return read_features_csv(path)
-    raise BadMagicError(f"{path}: neither MCLF magic nor CSV 'd=' header")
+# the one pool reader, under the name the verbs and perfbench look up
+load_pool = read_features

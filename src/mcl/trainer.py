@@ -363,18 +363,20 @@ class TrainReport:
 def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Train positions, then query/gallery positions over held-out identities.
 
-    The top `holdout_fraction` of identity ids is never trained on; each
-    held-out identity contributes its lowest-position row as the query and
-    the rest as gallery. With no holdout, evaluation reuses the train pool.
-    The fraction must lie in [0, 1), as `TrainConfig` requires.
+    The top `holdout_fraction` of the identities, ranked by id, is never
+    trained on; each held-out identity contributes its lowest-position row as
+    the query and the rest as gallery. With no holdout, evaluation reuses the
+    train pool. The fraction must lie in [0, 1), as `TrainConfig` requires,
+    and two evaluated identities need >= 2 samples each.
     """
     if not 0.0 <= holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in [0, 1), got {holdout_fraction}")
     ids = pool.identities
-    num = pool.num_identities
-    cut = max(int(round(num * (1.0 - holdout_fraction))), 1)
-    train_pos = np.flatnonzero(ids < cut)
-    eval_pos = np.flatnonzero(ids >= cut) if cut < num else train_pos
+    ranked = np.unique(ids)
+    cut = max(int(round(ranked.size * (1.0 - holdout_fraction))), 1)
+    held = np.isin(ids, ranked[cut:])
+    train_pos = np.flatnonzero(~held)
+    eval_pos = np.flatnonzero(held) if holdout_fraction > 0 else train_pos
     query, gallery = [], []
     for ident in np.unique(ids[eval_pos]):
         rows = eval_pos[ids[eval_pos] == ident]
@@ -382,8 +384,9 @@ def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.n
             continue  # nothing to retrieve for a singleton identity
         query.append(rows[0])  # rows ascend: flatnonzero keeps pool order
         gallery.extend(rows[1:])
-    if not query:
-        raise ValueError("no evaluable identity (need >= 2 samples each)")
+    if len(query) < 2:  # one identity retrieves itself: mAP 1.0, vacuously
+        raise ValueError(f"no evaluable retrieval: {len(query)} evaluated "
+                         "identities with >= 2 samples each, need 2")
     return train_pos, np.array(query), np.array(gallery)
 
 

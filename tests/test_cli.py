@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import struct
 from dataclasses import fields
 from pathlib import Path
 
@@ -715,3 +716,46 @@ class TestEvalAndDump:
         ckpt.write_bytes(ckpt.read_bytes() + tail)
         code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA
+
+
+def _verb_argv(verb, pool, out):
+    """A verb's command line on pool, with its output at out."""
+    tail = {"train": TRAIN_FLAGS, "compare": TRAIN_FLAGS,
+            "eval": ["--identity-init"],
+            "dump-embeddings": ["--checkpoint", str(out) + ".mclp"]}[verb]
+    return [verb, str(pool), "-o", str(out)] + tail
+
+
+class TestUnscorablePool:
+    # a pool no retrieval score means anything on is refused before output
+
+    @pytest.mark.parametrize("verb", ["train", "compare", "eval"])
+    def test_one_held_out_identity(self, tmp_path, capsys, verb):
+        # 3 identities at the default 0.25 hold out one, which retrieves
+        # only itself: mAP 1.0 whatever the encoder
+        pool = tmp_path / "three.mclf"
+        write_features(generate_pool(GenSpec(3, 10, 8)), pool)
+        out = tmp_path / "out"
+        assert main(_verb_argv(verb, pool, out)) == EXIT_DATA
+        assert "no evaluable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["train", "compare", "eval",
+                                      "dump-embeddings"])
+    @pytest.mark.parametrize("kind", ["csv", "label-less"])
+    def test_pool_without_labels(self, tmp_path, capsys, tiny_pool, verb,
+                                 kind):
+        # without labels every row is one identity: mAP 1.0 for any encoder
+        if kind == "csv":
+            pool = tmp_path / "pool.csv"
+            pool.write_text("d=2\n0.5,0.5\n0.1,0.9\n")
+        else:
+            pool = tmp_path / "pool.mclf"
+            pool.write_bytes(
+                struct.pack("<4sHHII", b"MCLF", 1, 0, len(tiny_pool),
+                            tiny_pool.d_raw)
+                + tiny_pool.features.astype("<f4").tobytes())
+        out = tmp_path / "out"
+        assert main(_verb_argv(verb, pool, out)) == EXIT_DATA
+        assert str(pool) in capsys.readouterr().err
+        assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mcl import geometry
 from mcl.cluster import ClusterAssignment, dbscan
 from mcl.geometry import clustering_distance
 
@@ -130,13 +131,16 @@ class TestStructure:
         a = ClusterAssignment(labels=np.array([0, 1, 0, -1, 1]), num_clusters=2)
         assert a.num_outliers == 1
 
-    def test_chunking_agrees_with_small_path(self):
-        # n above the scan chunk so the blocked loops take multiple passes
+    def test_chunking_agrees_with_small_path(self, monkeypatch):
+        # n spans many row blocks, so the eps scan takes multiple passes, in
+        # the calling thread and on worker threads
         rng = np.random.default_rng(11)
         n = 1100
         e = rng.standard_normal((n, 4))
         e /= np.linalg.norm(e, axis=1, keepdims=True)
         dm = clustering_distance(e, k=10)
-        got = dbscan(dm, eps=0.7, min_pts=4)
         want = dbscan_reference(dm, 0.7, 4)
-        assert np.array_equal(got.labels, want)
+        for workers in (1, 3):
+            monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
+            got = dbscan(dm, eps=0.7, min_pts=4)
+            assert np.array_equal(got.labels, want)

@@ -1,4 +1,4 @@
-"""Pool generation and the MCLF/CSV feature formats."""
+"""Pool generation and the MCLF feature format."""
 
 import struct
 from dataclasses import fields
@@ -17,7 +17,6 @@ from mcl.data import (
     generate_pool,
     load_pool,
     read_features,
-    read_features_csv,
     write_features,
 )
 from mcl.trainer import TrainConfig
@@ -132,15 +131,24 @@ class TestMCLFRoundTrip:
         path = tmp_path_factory.mktemp("mclf") / "pool.mclf"
         if labels:
             write_features(pool, path)
+            back = read_features(path)
+            assert back.features.tobytes() == pool.features.tobytes()
+            assert np.array_equal(back.identities, pool.identities)
         else:  # the program writes labels; label-less files come from outside
             path.write_bytes(struct.pack("<4sHHII", b"MCLF", 1, 0, n, d)
                              + pool.features.astype("<f4").tobytes())
-        back = read_features(path)
-        assert back.features.tobytes() == pool.features.tobytes()
-        if labels:
-            assert np.array_equal(back.identities, pool.identities)
-        else:
-            assert np.array_equal(back.identities, np.zeros(n, dtype=np.int64))
+            with pytest.raises(FeatureFileError, match="pool.mclf"):
+                read_features(path)
+
+    @pytest.mark.parametrize("flags", [0x0003, 0x0002])
+    def test_flags_other_than_labels_refused(self, tmp_path, small_pool, flags):
+        path = tmp_path / "x.mclf"
+        write_features(small_pool, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<H", data, 6, flags)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FeatureFileError, match="flags"):
+            read_features(path)
 
     def test_identity_beyond_32_bits_is_refused(self, tmp_path):
         # the labels are stored as u32: 2**32 + 1 would read back as 1
@@ -194,40 +202,16 @@ class TestMCLFRoundTrip:
             read_features(path)
 
 
-class TestCSV:
-    def _write(self, path, text):
-        path.write_text(text)
-        return path
-
-    def test_reads_rows(self, tmp_path):
-        path = self._write(tmp_path / "f.csv", "d=3\n1,2,3\n4,5,6\n")
-        pool = read_features_csv(path)
-        assert pool.features.shape == (2, 3)
-        assert pool.features[1, 2] == pytest.approx(6.0)
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = self._write(tmp_path / "f.csv", "d=2\n1,2\n\n3,4\n")
-        assert len(read_features_csv(path)) == 2
-
-    def test_header_required(self, tmp_path):
-        path = self._write(tmp_path / "f.csv", "3\n1,2,3\n")
-        with pytest.raises(BadMagicError):
-            read_features_csv(path)
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = self._write(tmp_path / "f.csv", "d=3\n1,2,3\n4,5\n")
-        with pytest.raises(DimensionMismatchError):
-            read_features_csv(path)
-
-
 class TestLoadPool:
     def test_sniffs_both_formats(self, tmp_path, small_pool):
+        # MCLF is the one pool format: CSV text is not a pool
         binary = tmp_path / "p.mclf"
         write_features(small_pool, binary)
         assert load_pool(binary) == small_pool
         csv_path = tmp_path / "p.csv"
         csv_path.write_text("d=2\n0.5,0.5\n0.1,0.9\n")
-        assert len(load_pool(csv_path)) == 2
+        with pytest.raises(BadMagicError):
+            load_pool(csv_path)
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "p.bin"

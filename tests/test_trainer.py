@@ -405,13 +405,35 @@ class TestHoldout:
         assert np.all(np.isin(query, train_pos))
 
     def test_singletons_skipped(self):
-        feats = np.random.default_rng(0).standard_normal((5, 4)).astype(np.float32)
-        ids = np.array([0, 0, 1, 2, 2])  # held-out identity 1 is a singleton
+        feats = np.random.default_rng(0).standard_normal((7, 4)).astype(np.float32)
+        ids = np.array([0, 0, 1, 2, 2, 3, 3])  # held-out identity 1 is a singleton
         pool = Pool(feats, ids)
-        train_pos, query, gallery = holdout_split(pool, 0.66)
+        train_pos, query, gallery = holdout_split(pool, 0.75)
         evaluated = ids[np.concatenate([query, gallery])]
         assert 1 not in evaluated
-        assert np.all(evaluated == 2)
+        assert set(evaluated) == {2, 3}
+
+    def test_fraction_counts_identities_not_id_values(self):
+        # 16 identities with sparse ids: 0.25 holds out 4 of them, not the 8
+        # that 0.25 of the id range 0..1007 would
+        ids = np.repeat(np.r_[0:8, 1000:1008], 2)
+        pool = Pool(np.zeros((ids.size, 3), dtype=np.float32), ids)
+        train_pos, query, gallery = holdout_split(pool, 0.25)
+        assert set(ids[train_pos]) == set(range(8)) | set(range(1000, 1004))
+        assert np.array_equal(ids[query], np.arange(1004, 1008))
+        assert set(ids[gallery]) == set(range(1004, 1008))
+
+    @pytest.mark.parametrize("num_ids,fraction", [(3, 0.25), (2, 0.25),
+                                                  (1, 0.0)])
+    def test_fewer_than_two_evaluated_identities_refused(self, num_ids,
+                                                         fraction):
+        # 3 ids at 0.25 hold out one, whose retrieval scores mAP 1.0
+        # vacuously; 2 at 0.25 hold out none, which must not fall back to
+        # scoring the training identities
+        ids = np.repeat(np.arange(num_ids), 4)
+        pool = Pool(np.zeros((ids.size, 3), dtype=np.float32), ids)
+        with pytest.raises(ValueError, match="no evaluable"):
+            holdout_split(pool, fraction)
 
     @pytest.mark.parametrize("fraction", [-3.0, -0.01, 1.0, 1.5, float("nan")])
     def test_fraction_outside_unit_interval_rejected(self, small_pool, fraction):
