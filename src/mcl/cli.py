@@ -25,8 +25,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .data import FeatureFileError, GenSpec, Pool, generate_pool, load_pool, \
-    write_features
+from .data import DimensionMismatchError, FeatureFileError, GenSpec, Pool, \
+    generate_pool, load_pool, write_features
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
@@ -190,12 +190,22 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _checkpoint_for(path, pool: Pool) -> EncoderParams:
+    """The checkpoint at path, refused unless its input width is pool's."""
+    params = load_checkpoint(path)
+    width = params.tensors()[0][1].shape[1]
+    if width != pool.d_raw:
+        raise DimensionMismatchError(f"{path}: checkpoint takes {width}-wide "
+                                     f"input, the pool has d_raw {pool.d_raw}")
+    return params
+
+
 def cmd_eval(args) -> int:
     pool = load_pool(args.pool)
     if args.identity_init:
         params = EncoderParams.identity_init(pool.d_raw)
     else:
-        params = load_checkpoint(args.checkpoint)
+        params = _checkpoint_for(args.checkpoint, pool)
     _, query_pos, gallery_pos = holdout_split(pool, args.holdout_fraction)
     mean_ap, cmc = evaluate(params, pool, query_pos, gallery_pos)
     out = {"mean_ap": mean_ap, "rank1": float(cmc[0]),
@@ -212,7 +222,7 @@ def cmd_eval(args) -> int:
 
 def cmd_dump_embeddings(args) -> int:
     pool = load_pool(args.pool)
-    params = load_checkpoint(args.checkpoint)
+    params = _checkpoint_for(args.checkpoint, pool)
     emb = encode_batch(params, pool.features.astype(np.float64))
     out_pool = Pool(emb.astype(np.float32), pool.identities)
     write_features(out_pool, args.out)

@@ -2,9 +2,9 @@
 
 Phase 1 uses temperature-scaled InfoNCE against the prototype bank. Phase 2
 combines a swapped-prediction consistency term (targets are stop-gradient
-constants) with a soft-weighted triplet hinge. Every op takes a batch of
-embedding rows, reduces by the mean over rows, and returns a LossValue
-carrying the scalar and a dict of per-row embedding gradients of that mean.
+constants) with a batch-hard soft-weighted triplet hinge, both over the
+stacked views [a; b]. Every op reduces by the mean and returns a LossValue:
+the scalar and one `grad`, its derivative w.r.t. the rows it was given.
 
 Every gradient here is finite-difference checked in the test suite.
 """
@@ -21,7 +21,7 @@ from .protobank import PrototypeBank
 @dataclass
 class LossValue:
     value: float
-    grads: dict[str, np.ndarray]
+    grad: np.ndarray  # d(value)/d(rows given), shaped like them
 
     def __post_init__(self):
         if not np.isfinite(self.value):
@@ -30,8 +30,8 @@ class LossValue:
 
 def infonce_batch(v: np.ndarray, bank: PrototypeBank, labels: np.ndarray,
                   tau: float) -> LossValue:
-    """Mean over rows of -log softmax_tau(v . w)[label]; grads['v'] is
-    d(mean)/dV, with no gradient into the bank."""
+    """Mean over rows of -log softmax_tau(v . w)[label]; grad is d(mean)/dV,
+    with no gradient into the bank."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
     v = np.asarray(v, dtype=np.float64)
@@ -47,26 +47,23 @@ def infonce_batch(v: np.ndarray, bank: PrototypeBank, labels: np.ndarray,
     value = (m + np.log(s) - z[np.arange(n), labels]).mean()
     p = e / s[:, None]
     p[np.arange(n), labels] -= 1.0
-    grad_v = p @ w / (tau * n)
-    return LossValue(float(value), {"v": grad_v})
+    return LossValue(float(value), p @ w / (tau * n))
 
 
 def _cross_entropy(p: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -(y * np.log(np.maximum(p, 1e-300))).sum(axis=-1)
 
 
-def siamese_consistency_batch(f_s: np.ndarray, f_t: np.ndarray,
-                              bank: PrototypeBank) -> LossValue:
-    """Swapped-prediction cross entropy, mean over rows.
-
-    Each view predicts the other view's soft label; the targets are the
-    soft labels themselves, held constant (no gradient flows through them
-    or through the bank).
+def siamese_consistency_batch(v: np.ndarray, bank: PrototypeBank) -> LossValue:
+    """Swapped-prediction cross entropy, mean over the n samples of the
+    stacked views v = [a; b], whose rows i and n + i view sample i (an odd
+    row count is refused). Each view predicts the other view's soft label,
+    held constant: no gradient flows through the targets or the bank.
     """
-    f_s = np.atleast_2d(np.asarray(f_s, dtype=np.float64))
-    f_t = np.atleast_2d(np.asarray(f_t, dtype=np.float64))
-    if f_s.shape != f_t.shape:
-        raise ValueError("view batches must have identical shape")
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    if v.shape[0] % 2:
+        raise ValueError(f"stacked views need an even row count, got {v.shape[0]}")
+    f_s, f_t = np.split(v, 2)
     n = f_s.shape[0]
     w = bank.weights
     p_s = bank.soft_label_batch(f_s)
@@ -76,30 +73,41 @@ def siamese_consistency_batch(f_s: np.ndarray, f_t: np.ndarray,
     # d CE(softmax(W f), y)/d f = W^T (p - y) for constant y, and
     # p_t - p_s is exactly -(p_s - p_t)
     grad_s = (p_s - p_t) @ w / n
-    grad_t = -grad_s
-    return LossValue(float(value), {"f_s": grad_s, "f_t": grad_t})
+    return LossValue(float(value), np.concatenate([grad_s, -grad_s]))
 
 
-def soft_weighted_triplet_batch(f_a: np.ndarray, f_p: np.ndarray,
-                                f_n: np.ndarray, margin: float,
+def soft_weighted_triplet_batch(v: np.ndarray, ids: np.ndarray, margin: float,
                                 soft_weight: bool = True) -> LossValue:
-    """omega * [|a-p|^2 - |a-n|^2 + margin]_+, mean over rows.
+    """omega * [|a-p|^2 - |a-n|^2 + margin]_+, mean over the anchors a = v.
 
-    omega = clamp(<a,p>, 0, 1) * clamp(<a,n>, 0, 1); gradients flow through
-    both the hinge and omega (clamp has zero slope outside (0, 1)).
-    soft_weight=False gives the plain hinge (omega = 1).
+    p is the row of a's identity farthest from a, n the row of another
+    identity nearest to it (batch-hard over unit rows); their gradients are
+    scattered back onto those rows. omega = clamp(<a,p>, 0, 1) *
+    clamp(<a,n>, 0, 1), and gradients flow through both the hinge and omega;
+    soft_weight=False gives the plain hinge (omega = 1). ids, one per row,
+    must hold >= 2 identities of >= 2 rows each.
     """
-    f_a = np.atleast_2d(np.asarray(f_a, dtype=np.float64))
-    f_p = np.atleast_2d(np.asarray(f_p, dtype=np.float64))
-    f_n = np.atleast_2d(np.asarray(f_n, dtype=np.float64))
-    n = f_a.shape[0]
-    ap = f_a - f_p
-    an = f_a - f_n
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    ids = np.asarray(ids)
+    n = v.shape[0]
+    if ids.shape != (n,):
+        raise ValueError(f"need one identity per row: {ids.shape} for {n} rows")
+    counts = np.unique(ids, return_counts=True)[1]
+    if counts.size < 2 or counts.min() < 2:
+        raise ValueError(f"mining needs >= 2 identities of >= 2 rows: {counts}")
+    d = np.maximum(2.0 - 2.0 * (v @ v.T), 0.0)
+    same = ids[:, None] == ids[None, :]
+    np.fill_diagonal(same, False)
+    hp = np.argmax(np.where(same, d, -np.inf), axis=1)
+    hn = np.argmin(np.where(ids[:, None] != ids[None, :], d, np.inf), axis=1)
+    f_p, f_n = v[hp], v[hn]
+    ap = v - f_p
+    an = v - f_n
     hinge = (ap * ap).sum(axis=1) - (an * an).sum(axis=1) + margin
     active = hinge > 0
     if soft_weight:
-        sp = (f_a * f_p).sum(axis=1)
-        sn = (f_a * f_n).sum(axis=1)
+        sp = (v * f_p).sum(axis=1)
+        sn = (v * f_n).sum(axis=1)
         cp, cn = np.clip(sp, 0.0, 1.0), np.clip(sn, 0.0, 1.0)
         dcp = ((sp > 0) & (sp < 1)).astype(np.float64)
         dcn = ((sn > 0) & (sn < 1)).astype(np.float64)
@@ -114,16 +122,15 @@ def soft_weighted_triplet_batch(f_a: np.ndarray, f_p: np.ndarray,
     if soft_weight:
         h = (g * hinge[:, None])
         ga += h * ((dcp * cn)[:, None] * f_p + (cp * dcn)[:, None] * f_n)
-        gp += h * (dcp * cn)[:, None] * f_a
-        gn += h * (cp * dcn)[:, None] * f_a
-    return LossValue(float(value), {"f_a": ga, "f_p": gp, "f_n": gn})
+        gp += h * (dcp * cn)[:, None] * v
+        gn += h * (cp * dcn)[:, None] * v
+    np.add.at(ga, hp, gp)  # each mined row also gets its roles' gradients
+    np.add.at(ga, hn, gn)
+    return LossValue(float(value), ga)
 
 
 def phase2_total(l_sc: LossValue, l_tri: LossValue,
                  lambda_tri: float) -> LossValue:
-    """consistency + lambda * triplet over the same rows of embeddings.
-
-    Both terms carry one gradient, grads['v'], and it combines linearly.
-    """
+    """consistency + lambda * triplet over the same rows of embeddings."""
     return LossValue(l_sc.value + lambda_tri * l_tri.value,
-                     {"v": l_sc.grads["v"] + lambda_tri * l_tri.grads["v"]})
+                     l_sc.grad + lambda_tri * l_tri.grad)

@@ -204,7 +204,7 @@ def run_phase1_epoch(features: np.ndarray, params: EncoderParams,
         batch_labels = assignment.labels[batch]
         v, cache = encode_forward(params, features[batch])
         loss = infonce_batch(v, bank, batch_labels, config.tau)
-        grads = encode_backward(params, cache, loss.grads["v"])
+        grads = encode_backward(params, cache, loss.grad)
         adam_step(params, grads, opt)
         bank.momentum_update(v, batch_labels)
         losses.append(loss.value)
@@ -219,23 +219,6 @@ class Phase2Stats:
     triplet_skipped: int = 0
 
 
-def _batch_hard_triplet(v: np.ndarray, ids: np.ndarray, margin: float,
-                        soft_weight: bool = True) -> LossValue:
-    """Hardest positive / hardest negative per anchor within the batch."""
-    d = np.maximum(2.0 - 2.0 * (v @ v.T), 0.0)  # unit rows
-    same = ids[:, None] == ids[None, :]
-    np.fill_diagonal(same, False)
-    diff = ids[:, None] != ids[None, :]
-    hp = np.argmax(np.where(same, d, -np.inf), axis=1)
-    hn = np.argmin(np.where(diff, d, np.inf), axis=1)
-    tri = soft_weighted_triplet_batch(v, v[hp], v[hn], margin,
-                                      soft_weight=soft_weight)
-    gv = tri.grads["f_a"].copy()
-    np.add.at(gv, hp, tri.grads["f_p"])
-    np.add.at(gv, hn, tri.grads["f_n"])
-    return LossValue(tri.value, {"v": gv})
-
-
 def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
                      bank: PrototypeBank, params: EncoderParams,
                      opt: OptimizerState, config: TrainConfig,
@@ -247,9 +230,9 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
     samples from different subsets never count as positives, except under
     "shared". Each drawn sample contributes two augmented views, stacked as
     [view a; view b] through one encoder forward and one backward per batch;
-    the triplet term ("plain": unweighted) mines batch-hard within the
-    stacked views and is skipped (with a warning) when fewer than two
-    identities are in reach; "no_sc" drops the consistency term.
+    the triplet term ("plain": unweighted) mines batch-hard within them and is
+    skipped (counted in triplet_skipped) in a batch of one identity and, with
+    a warning, under a one-prototype bank; "no_sc" drops the consistency term.
     """
     k_classes = bank.num_classes
     positions, ids = [], []
@@ -265,8 +248,7 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
     if k_classes < 2:
         warnings.warn("phase 2 with a single prototype: triplet term skipped")
     per_identity = config.i2_instances // 2  # distinct samples; 2 views each
-    samples_per_batch = config.p2_identities * per_identity
-    num_batches = math.ceil(positions.size / samples_per_batch)
+    num_batches = math.ceil(positions.size / (config.p2_identities * per_identity))
     p_eff = min(config.p2_identities, np.unique(ids).size)
     losses = []
     skipped = 0
@@ -279,24 +261,18 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
         # one pass over the stacked views [a; b]: rows i and b + i are the
         # two views of sample i, and the backward sums over both
         v2, cache = encode_forward(params, np.concatenate([view_a, view_b]))
-        ids2 = np.concatenate([batch_ids, batch_ids])
-
-        if regime == "no_sc":
-            l_sc = LossValue(0.0, {"v": np.zeros_like(v2)})
-        else:
-            sc = siamese_consistency_batch(*np.split(v2, 2), bank)
-            g = np.concatenate([sc.grads["f_s"], sc.grads["f_t"]], axis=0)
-            l_sc = LossValue(sc.value, {"v": g})
-
+        no_grad = LossValue(0.0, np.zeros_like(v2))
+        l_sc = no_grad if regime == "no_sc" else siamese_consistency_batch(v2, bank)
         if k_classes >= 2 and np.unique(batch_ids).size >= 2:
-            l_tri = _batch_hard_triplet(v2, ids2, config.margin,
-                                        soft_weight=regime != "plain")
+            l_tri = soft_weighted_triplet_batch(
+                v2, np.concatenate([batch_ids, batch_ids]), config.margin,
+                soft_weight=regime != "plain")
         else:
-            l_tri = LossValue(0.0, {"v": np.zeros_like(v2)})
+            l_tri = no_grad
             skipped += 1
 
         total = phase2_total(l_sc, l_tri, config.lambda_tri)
-        adam_step(params, encode_backward(params, cache, total.grads["v"]), opt)
+        adam_step(params, encode_backward(params, cache, total.grad), opt)
         losses.append(total.value)
     return Phase2Stats(losses=losses, hardened=ids, positions=positions,
                        triplet_skipped=skipped)
@@ -312,6 +288,7 @@ class EpochRecord:
     eps_used: float
     phase1_loss: float
     phase2_loss: float
+    triplet_skipped: int  # phase-2 batches without a triplet term
     mean_ap: float
     rank1: float
     label_correct: float
@@ -483,6 +460,7 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
             eps_used=p1.eps_used,
             phase1_loss=float(np.mean(p1.losses)) if p1.losses else float("nan"),
             phase2_loss=float(np.mean(p2.losses)) if p2 and p2.losses else float("nan"),
+            triplet_skipped=p2.triplet_skipped if p2 else 0,
             mean_ap=mean_ap,
             rank1=float(cmc[0]),
             label_correct=labeling_correct_fraction(labels_full, true_ids),

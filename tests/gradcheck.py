@@ -6,15 +6,18 @@ Configurations are rejection-sampled away from the genuine kinks (hinge at
 zero, similarity clamp boundaries) because a subgradient cannot match a
 two-sided difference there; the safety band of 1e-2 dwarfs the 1e-6 probe.
 
-The siamese check and the combined phase-2 check hold their own frozen
-copies of the stop-gradient pieces (soft-label targets, mined triplet
-indices), mirroring how the trainer uses them within a step.
+Each check takes the loss's one `grad` over the rows it was given, the
+stacked views [a; b] for the phase-2 losses. The InfoNCE check differences
+its own reference value, which keeps its precision at a saturated softmax.
+The siamese and phase-2 checks hold their own frozen copy of the
+stop-gradient soft-label targets. The triplet loss mines its own rows, so
+its batches are also drawn clear of near-ties between candidates, which
+keeps the mining fixed under the probe.
 """
 
 import numpy as np
 
 from mcl.losses import (
-    LossValue,
     infonce_batch,
     phase2_total,
     siamese_consistency_batch,
@@ -38,6 +41,22 @@ def _softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _saturation_safe_infonce(w, labels, tau):
+    """The mean InfoNCE value as a function of v, summed to keep its relative
+    precision at a saturated softmax: the gap to the top logit, exactly 0 for
+    a top label, plus log1p of the other terms. There the gradient can fall
+    to 1e-7, and a value rounded as 1 + tiny would drown its 1e-6 difference."""
+    def value(x):
+        z = x @ w.T / tau
+        rows = np.arange(z.shape[0])
+        top = z.argmax(axis=1)
+        e = np.exp(z - z[rows, top][:, None])
+        e[rows, top] = 0.0
+        gap = z[rows, top] - z[rows, labels]
+        return float((gap + np.log1p(e.sum(axis=1))).mean())
+    return value
+
+
 def check_infonce(rng):
     k = int(rng.integers(2, 9))
     d = int(rng.integers(3, 9))
@@ -52,9 +71,22 @@ def check_infonce(rng):
         v = rng.standard_normal((n, d))
         labels = rng.integers(0, k, size=n)
     got = infonce_batch(v, bank, labels, tau)
-    fd = central_difference(lambda x: infonce_batch(x, bank, labels, tau).value,
-                            v.copy())
-    return relative_error(got.grads["v"], fd)
+    value = _saturation_safe_infonce(bank.weights, labels, tau)
+    assert abs(value(v) - got.value) < 1e-10
+    return relative_error(got.grad, central_difference(value, v.copy()))
+
+
+def _frozen_consistency(v, w):
+    """The swapped-prediction value over stacked views v, as a function of
+    v with the targets frozen at v."""
+    n = v.shape[0] // 2
+    y = _softmax(v @ w.T)
+
+    def value(x):
+        p = np.log(_softmax(x @ w.T))
+        ce = -(y[n:] * p[:n]).sum(axis=1) - (y[:n] * p[n:]).sum(axis=1)
+        return float(ce.mean())
+    return value
 
 
 def check_siamese(rng):
@@ -62,122 +94,67 @@ def check_siamese(rng):
     d = int(rng.integers(3, 8))
     n = int(rng.integers(1, 6))
     bank = PrototypeBank(_unit(rng, k, d))
-    w = bank.weights
-    f_s = rng.standard_normal((n, d))
-    f_t = rng.standard_normal((n, d))
-    got = siamese_consistency_batch(f_s, f_t, bank)
-
-    y_s = _softmax(f_s @ w.T)  # targets frozen at the base point
-    y_t = _softmax(f_t @ w.T)
-
-    def value(fs, ft):
-        p_s = _softmax(fs @ w.T)
-        p_t = _softmax(ft @ w.T)
-        ce = -(y_t * np.log(p_s)).sum(axis=1) - (y_s * np.log(p_t)).sum(axis=1)
-        return float(ce.mean())
-
-    assert abs(value(f_s, f_t) - got.value) < 1e-10
-    fd_s = central_difference(lambda m: value(m, f_t), f_s.copy())
-    fd_t = central_difference(lambda m: value(f_s, m), f_t.copy())
-    return max(relative_error(got.grads["f_s"], fd_s),
-               relative_error(got.grads["f_t"], fd_t))
+    v = rng.standard_normal((2 * n, d))  # [view a; view b]
+    got = siamese_consistency_batch(v, bank)
+    value = _frozen_consistency(v, bank.weights)
+    assert abs(value(v) - got.value) < 1e-10
+    return relative_error(got.grad, central_difference(value, v.copy()))
 
 
-def _safe_triplet_batch(rng, n, d, margin, clamp):
-    """Rows whose hinge and similarity values sit clear of the kinks."""
-    while True:
-        f_a, f_p, f_n = (_unit(rng, n, d) for _ in range(3))
-        ap = ((f_a - f_p) ** 2).sum(axis=1)
-        an = ((f_a - f_n) ** 2).sum(axis=1)
-        hinge = ap - an + margin
-        sims = np.concatenate([(f_a * f_p).sum(axis=1), (f_a * f_n).sum(axis=1)])
-        ok = np.abs(hinge).min() > _SAFE
-        if clamp:
-            ok = ok and np.abs(sims).min() > _SAFE and np.abs(sims - 1).min() > _SAFE
-        if ok:
-            return f_a, f_p, f_n
+def _clear_of_kinks(v, ids, margin, clamp):
+    """Whether every anchor of the unit rows v sits clear of the kinks of
+    batch-hard mining: its hinge at zero, the clamp ends of its similarities
+    to the mined rows, and a near-tie between two candidates for either."""
+    d = ((v[:, None] - v[None]) ** 2).sum(axis=2)
+    for a in range(v.shape[0]):
+        pos = np.sort(d[a, (ids == ids[a]) & (np.arange(ids.size) != a)])[::-1]
+        neg = np.sort(d[a, ids != ids[a]])
+        gaps = np.concatenate([pos[:1] - pos[1:2], neg[1:2] - neg[:1]])
+        sims = 1.0 - np.array([pos[0], neg[0]]) / 2.0  # unit rows
+        if abs(pos[0] - neg[0] + margin) <= _SAFE or (gaps <= _SAFE).any():
+            return False
+        if clamp and (np.abs(sims).min() <= _SAFE
+                      or np.abs(sims - 1).min() <= _SAFE):
+            return False
+    return True
 
 
 def check_triplet(rng, soft_weight=True):
-    n = int(rng.integers(1, 6))
+    k = int(rng.integers(2, 5))
+    ids = np.repeat(np.arange(k), rng.integers(2, 4, size=k))
     d = int(rng.integers(3, 8))
     margin = float(rng.uniform(0.1, 0.6))
-    f_a, f_p, f_n = _safe_triplet_batch(rng, n, d, margin, soft_weight)
-    got = soft_weighted_triplet_batch(f_a, f_p, f_n, margin,
-                                      soft_weight=soft_weight)
-
-    def value(a, p, n_):
-        return soft_weighted_triplet_batch(
-            a, p, n_, margin, soft_weight=soft_weight).value
-
-    errs = [
-        relative_error(got.grads["f_a"],
-                       central_difference(lambda m: value(m, f_p, f_n), f_a.copy())),
-        relative_error(got.grads["f_p"],
-                       central_difference(lambda m: value(f_a, m, f_n), f_p.copy())),
-        relative_error(got.grads["f_n"],
-                       central_difference(lambda m: value(f_a, f_p, m), f_n.copy())),
-    ]
-    return max(errs)
-
-
-def _mine_hard(v2, ids):
-    d = np.maximum(2.0 - 2.0 * (v2 @ v2.T), 0.0)
-    same = ids[:, None] == ids[None, :]
-    np.fill_diagonal(same, False)
-    diff = ids[:, None] != ids[None, :]
-    hp = np.argmax(np.where(same, d, -np.inf), axis=1)
-    hn = np.argmin(np.where(diff, d, np.inf), axis=1)
-    return hp, hn
+    while True:
+        v = _unit(rng, ids.size, d)
+        if _clear_of_kinks(v, ids, margin, soft_weight):
+            break
+    got = soft_weighted_triplet_batch(v, ids, margin, soft_weight=soft_weight)
+    fd = central_difference(lambda x: soft_weighted_triplet_batch(
+        x, ids, margin, soft_weight=soft_weight).value, v.copy())
+    return relative_error(got.grad, fd)
 
 
 def check_phase2(rng):
-    """Combined consistency + mined triplet objective on a two-view batch."""
+    """Consistency + lambda * mined triplet on a two-view batch, as the
+    trainer combines them."""
     k = int(rng.integers(2, 7))
     d = int(rng.integers(3, 8))
     b = int(rng.integers(2, 5))
     margin = float(rng.uniform(0.1, 0.6))
     lam = float(rng.uniform(0.3, 2.0))
     bank = PrototypeBank(_unit(rng, k, d))
-    w = bank.weights
     ids = np.concatenate([np.arange(b), np.arange(b)])  # two views per id
-
     while True:
         v2 = _unit(rng, 2 * b, d)
-        hp, hn = _mine_hard(v2, ids)
-        hinge = (((v2 - v2[hp]) ** 2).sum(axis=1)
-                 - ((v2 - v2[hn]) ** 2).sum(axis=1) + margin)
-        sims = np.concatenate([(v2 * v2[hp]).sum(axis=1),
-                               (v2 * v2[hn]).sum(axis=1)])
-        if (np.abs(hinge).min() > _SAFE and np.abs(sims).min() > _SAFE
-                and np.abs(sims - 1).min() > _SAFE):
+        if _clear_of_kinks(v2, ids, margin, clamp=True):
             break
+    got = phase2_total(siamese_consistency_batch(v2, bank),
+                       soft_weighted_triplet_batch(v2, ids, margin), lam)
+    consistency = _frozen_consistency(v2, bank.weights)
 
-    def combined(v2_in, return_grads=False):
-        va, vb = v2_in[:b], v2_in[b:]
-        sc = siamese_consistency_batch(va, vb, bank)
-        tri = soft_weighted_triplet_batch(v2_in, v2_in[hp], v2_in[hn], margin)
-        g_sc = np.concatenate([sc.grads["f_s"], sc.grads["f_t"]], axis=0)
-        g_tri = tri.grads["f_a"].copy()
-        np.add.at(g_tri, hp, tri.grads["f_p"])
-        np.add.at(g_tri, hn, tri.grads["f_n"])
-        total = phase2_total(LossValue(sc.value, {"v": g_sc}),
-                             LossValue(tri.value, {"v": g_tri}), lam)
-        return total if return_grads else total.value
-
-    got = combined(v2, return_grads=True)
-
-    y_a = _softmax(v2[:b] @ w.T)  # frozen consistency targets
-    y_b = _softmax(v2[b:] @ w.T)
-
-    def frozen_value(v2_in):
-        p_a = _softmax(v2_in[:b] @ w.T)
-        p_b = _softmax(v2_in[b:] @ w.T)
-        sc = (-(y_b * np.log(p_a)).sum(axis=1)
-              - (y_a * np.log(p_b)).sum(axis=1)).mean()
-        tri = soft_weighted_triplet_batch(v2_in, v2_in[hp], v2_in[hn], margin)
-        return float(sc + lam * tri.value)
+    def frozen_value(x):
+        return consistency(x) + lam * soft_weighted_triplet_batch(
+            x, ids, margin).value
 
     assert abs(frozen_value(v2) - got.value) < 1e-10
-    fd = central_difference(frozen_value, v2.copy())
-    return relative_error(got.grads["v"], fd)
+    return relative_error(got.grad, central_difference(frozen_value, v2.copy()))

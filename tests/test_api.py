@@ -1,5 +1,6 @@
 """The public surface: `mcl.__all__`, the functions perfbench traces, the
-benchmark worker's calls into mcl, and what `import mcl` loads."""
+benchmark worker's calls into mcl, what `import mcl` loads, and the size of
+the package."""
 
 import importlib
 import importlib.util
@@ -46,6 +47,13 @@ def _load_perfbench(name):
 
 def test_every_exported_name_resolves():
     assert [name for name in mcl.__all__ if not hasattr(mcl, name)] == []
+
+
+def test_package_stays_under_the_line_cap():
+    # the standing cap on src/mcl: a change that adds code must make room
+    lines = [line for path in sorted((ROOT / "src" / "mcl").glob("*.py"))
+             for line in path.read_text().splitlines() if line.strip()]
+    assert len(lines) <= 1666
 
 
 def test_every_tracer_target_resolves():

@@ -683,6 +683,22 @@ class TestEvalAndDump:
         assert "non-finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
+    def test_checkpoint_of_another_width_is_data_error(self, pool_file,
+                                                       tmp_path, capsys,
+                                                       command):
+        # weights for 16-wide rows cannot encode the pool's 8-wide rows
+        ckpt = tmp_path / "wide.mclp"
+        write_sections(ckpt, [("W1", np.ones((4, 16))), ("b1", np.zeros(4)),
+                              ("W2", np.ones((6, 4))), ("b2", np.zeros(6))])
+        out = tmp_path / "out"
+        code = main([command, pool_file, "--checkpoint", str(ckpt),
+                     "-o", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "16-wide" in err and "d_raw 8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
     def test_overflowing_checkpoint_is_numeric_error(self, pool_file,
                                                      tmp_path, capsys,
                                                      command):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mcl.data import GenSpec, Pool, generate_pool
 from mcl.geometry import ENTRY_COUNTER
-from mcl.losses import siamese_consistency_batch
+from mcl.losses import phase2_total, siamese_consistency_batch, \
+    soft_weighted_triplet_batch
 from mcl.model import EncoderParams, OptimizerState, augment_batch, \
     encode_backward, encode_batch, encode_forward
 from mcl.protobank import NoClustersError, PrototypeBank
@@ -17,7 +18,6 @@ from mcl.trainer import (
     EPS_CEILING,
     NumericError,
     TrainConfig,
-    _batch_hard_triplet,
     _check_regime,
     _cluster_with_widening,
     epoch_split,
@@ -217,53 +217,6 @@ class TestWidening:
         assert got.num_clusters == 1
 
 
-class TestBatchHard:
-    @staticmethod
-    def _mine_oracle(v2, ids):
-        n = v2.shape[0]
-        d = np.maximum(2.0 - 2.0 * (v2 @ v2.T), 0.0)
-        hp = np.zeros(n, dtype=np.int64)
-        hn = np.zeros(n, dtype=np.int64)
-        for a in range(n):
-            best_p, best_n = -np.inf, np.inf
-            for j in range(n):
-                if j == a:
-                    continue
-                if ids[j] == ids[a] and d[a, j] > best_p:
-                    best_p, hp[a] = d[a, j], j
-                if ids[j] != ids[a] and d[a, j] < best_n:
-                    best_n, hn[a] = d[a, j], j
-        return hp, hn
-
-    def test_matches_explicit_mining(self, rng):
-        cfg = _fast_config()
-        for trial in range(10):
-            b = int(rng.integers(2, 6))
-            v2 = unit_rows(rng, 2 * b, 6)
-            ids = np.concatenate([np.arange(b), np.arange(b)])
-            hp, hn = self._mine_oracle(v2, ids)
-            got = _batch_hard_triplet(v2, ids, cfg.margin)
-            from mcl.losses import soft_weighted_triplet_batch
-            want = soft_weighted_triplet_batch(v2, v2[hp], v2[hn], cfg.margin)
-            assert got.value == pytest.approx(want.value, abs=1e-12)
-
-    def test_gradient_scatter_sums_all_roles(self, rng):
-        # forcing one row to be everyone's hardest positive and negative
-        # exercises the accumulation path; compare with a manual scatter
-        cfg = _fast_config()
-        v2 = unit_rows(rng, 4, 5)
-        ids = np.array([0, 0, 1, 1])
-        got = _batch_hard_triplet(v2, ids, cfg.margin)
-        hp, hn = self._mine_oracle(v2, ids)
-        from mcl.losses import soft_weighted_triplet_batch
-        tri = soft_weighted_triplet_batch(v2, v2[hp], v2[hn], cfg.margin)
-        manual = tri.grads["f_a"].copy()
-        for a in range(4):
-            manual[hp[a]] += tri.grads["f_p"][a]
-            manual[hn[a]] += tri.grads["f_n"][a]
-        assert np.allclose(got.grads["v"], manual, atol=1e-12)
-
-
 class TestPhase1:
     def test_trains_and_reports(self, small_pool):
         cfg = _fast_config()
@@ -368,11 +321,10 @@ class TestPhase2:
         vb, cache_b = encode_forward(params, view_b)
         v2 = np.concatenate([va, vb])
         assert np.unique(ids[local]).size >= 2  # the triplet term runs
-        sc = siamese_consistency_batch(va, vb, bank)
-        g_sc = np.concatenate([sc.grads["f_s"], sc.grads["f_t"]])
-        tri = _batch_hard_triplet(v2, np.concatenate([ids[local]] * 2),
-                                  cfg.margin)
-        gv = g_sc + cfg.lambda_tri * tri.grads["v"]
+        gv = phase2_total(
+            siamese_consistency_batch(v2, bank),
+            soft_weighted_triplet_batch(v2, np.tile(ids[local], 2), cfg.margin),
+            cfg.lambda_tri).grad
         b = va.shape[0]
         want = encode_backward(params, cache_a, gv[:b])
         for name, g in encode_backward(params, cache_b, gv[b:]).items():
@@ -449,7 +401,8 @@ class TestHoldout:
 
 class TestTrain:
     def test_mcl_run_structure(self, small_pool):
-        cfg = _fast_config()
+        # one identity per phase-2 batch: every batch skips its triplet term
+        cfg = _fast_config(p2_identities=1)
         params, report = train(small_pool, cfg, regime="mcl")
         assert report.regime == "mcl"
         assert len(report.epochs) == 3
@@ -458,10 +411,12 @@ class TestTrain:
         assert warm.n_phase2 == 0  # warmup epoch
         assert np.isnan(warm.phase2_loss)
         later = report.epochs[-1]
-        assert later.n_phase2 > 0
+        assert later.n_phase2 == 54  # 27 batches of 1 identity x 2 samples
         assert 0.0 <= report.final_map <= 1.0
         assert report.total_entries == sum(e.distance_entries for e in report.epochs)
-        assert json.dumps(report.to_dict(), allow_nan=False)  # strict JSON
+        d = report.to_dict()
+        assert json.dumps(d, allow_nan=False)  # strict JSON
+        assert [e["triplet_skipped"] for e in d["epochs"]] == [0, 27, 27]
 
     def test_all_regime_clusters_everything(self, small_pool):
         cfg = _fast_config(n_subsets=3)
