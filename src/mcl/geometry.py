@@ -9,9 +9,11 @@ reproduce the quadratic cost scaling of a clustering pass.
 The row blocks of a clustering pass (fused cosine + kNN, and the Jaccard fill)
 run on up to one worker thread per CPU in the process's affinity mask; the
 numpy calls they make release the GIL, and each block writes only its own
-rows, so the results are bitwise the same for any worker count. Each worker
-holds about `_ROW_BLOCK` x n x 16 bytes in flight. scipy.sparse loads inside
-the functions that use it, so `import mcl` loads no scipy.
+rows, so the results are bitwise the same for any worker count. A pass
+computes its cosine rows and Jaccard rows in the result matrix itself, so each
+worker holds only about `_ROW_BLOCK` x n x 8 bytes in flight, the kNN
+selection's argpartition index. scipy.sparse loads inside the functions that
+use it, so `import mcl` loads no scipy.
 """
 
 from __future__ import annotations
@@ -98,9 +100,11 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> np.ndarray:
 def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
     """kNN lists over n points, selected in `_map_row_blocks` row blocks.
 
-    `distance_rows(lo, hi)` returns a fresh (hi - lo, n) float64 block of the
-    distances from rows lo..hi-1 to every point; it is overwritten here. It is
-    called on worker threads, so it must not touch shared state.
+    `distance_rows(lo, hi)` returns a (hi - lo, n) float64 block of the
+    distances from rows lo..hi-1 to every point. The block is overwritten
+    here, so it must be a fresh array or a view of rows the caller owns and
+    no longer needs. It is called on worker threads, so it must not touch
+    shared state beyond its own rows.
     Ordered by ascending distance; exact ties resolved by lower index. Uses
     argpartition with a tie-widening fallback so the rule holds even when
     many entries at the cut boundary are equal.
@@ -158,55 +162,63 @@ def k_reciprocal_sets(knn_idx: np.ndarray):
     return r
 
 
-def jaccard_distance(reciprocal) -> np.ndarray:
+def jaccard_distance(reciprocal, out: np.ndarray | None = None) -> np.ndarray:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
 
     S(i) is row i of the `k_reciprocal_sets` adjacency plus {i} itself, so no
-    set is empty and the diagonal is 0. Intersections are one sparse product
-    (sets are tiny); the dense result is filled from its CSR rows in
-    `_map_row_blocks` row ranges.
+    set is empty and the diagonal is 0. Each `_map_row_blocks` row range
+    counts its own intersections as one sparse product (sets are tiny) and
+    fills its rows of the dense result from that product's CSR rows, so no
+    whole-pass product is ever held. The result is written into `out`, a
+    C-contiguous (n, n) float64 array whose contents are ignored, when it is
+    given, and returned.
     """
     import scipy.sparse as sp
     n = reciprocal.shape[0]
+    if out is None:
+        out = np.empty((n, n), dtype=np.float64)
+    elif (out.shape != (n, n) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous ({n}, {n}) float64 array")
     s = reciprocal.astype(np.int32)  # counts <= n; halves the product's data
     s = (s + sp.identity(n, dtype=np.int32, format="csr")).tocsr()
     s.data[:] = 1
     sizes = np.asarray(s.getnnz(axis=1), dtype=np.int64)
-    inter = (s @ s.T).tocsr()
-    ptr, cols, counts = inter.indptr, inter.indices, inter.data
-    d = np.empty((n, n), dtype=np.float64)
+    st = s.T.tocsr()  # the transpose, so any adjacency counts exactly
 
     def fill(lo: int, hi: int) -> None:
-        a, b = ptr[lo], ptr[hi]
-        rows = np.repeat(np.arange(lo, hi), np.diff(ptr[lo:hi + 1]))
-        c, both = cols[a:b], counts[a:b]
-        d[lo:hi] = 1.0
-        d[rows, c] = 1.0 - both / (sizes[rows] + sizes[c] - both)
+        inter = s[lo:hi] @ st
+        ptr, c, both = inter.indptr, inter.indices, inter.data
+        rows = np.repeat(np.arange(lo, hi), np.diff(ptr))
+        out[lo:hi] = 1.0
+        out[rows, c] = 1.0 - both / (sizes[rows] + sizes[c] - both)
 
     _map_row_blocks(fill, n)
-    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(out, 0.0)
     ENTRY_COUNTER.add(n * n)
-    return d
+    return out
 
 
 def clustering_distance(embeddings: np.ndarray, k: int) -> np.ndarray:
     """Full cosine -> kNN -> k-reciprocal -> Jaccard pipeline.
 
-    Never builds the n x n cosine matrix: cosine distances are computed in
-    `_ROW_BLOCK`-row blocks and each block is reduced to kNN lists at once, so
-    the Jaccard result is the only n^2 float64 matrix of the pass. The counter
-    still gets n^2 for the cosine entries evaluated. The kNN selection is
-    `knn`'s. A row block's product can round a dot product differently from
-    `pairwise_cosine_distance`'s symmetric one in the last bits, which could
-    only reorder neighbours whose distances agree to those bits.
+    The (n, n) float64 result is the only n^2 buffer of the pass, allocated
+    first. Cosine distances are computed in `_ROW_BLOCK`-row blocks straight
+    into its rows, and each block is reduced to kNN lists at once; the
+    Jaccard fill then overwrites every row. The n x n cosine matrix is never
+    held, but the counter still gets n^2 for its entries. The kNN selection
+    is `knn`'s. A row block's product can round a dot product differently
+    from `pairwise_cosine_distance`'s symmetric one in the last bits, which
+    could only reorder neighbours whose distances agree to those bits.
     """
     e = _unit_rows(embeddings)
     n = e.shape[0]
+    d = np.empty((n, n), dtype=np.float64)
 
     def cosine_rows(lo: int, hi: int) -> np.ndarray:
-        block = e[lo:hi] @ e.T
+        block = np.matmul(e[lo:hi], e.T, out=d[lo:hi])
         return np.subtract(1.0, block, out=block)  # bitwise -x + 1
 
     lists = _knn_by_blocks(n, k, cosine_rows)
     ENTRY_COUNTER.add(n * n)
-    return jaccard_distance(k_reciprocal_sets(lists))
+    return jaccard_distance(k_reciprocal_sets(lists), out=d)

@@ -109,19 +109,50 @@ class TestJaccard:
             want = jaccard_from_sets(recip.toarray().astype(bool))
             assert np.allclose(got, want, atol=1e-12)
 
-    def test_peak_memory_is_one_matrix_plus_sparse_products(self, rng):
-        # the dense result plus the CSR intersection product (1.8M nonzeros
-        # here) and one row range of fill temporaries per worker
+    def test_peak_memory_is_one_matrix_plus_block_products(self, rng):
+        # the dense result plus, per worker, one row block's CSR intersection
+        # product and its fill temporaries; the sets are built untraced, so
+        # only jaccard_distance's own allocations count
         n = 3000
-        e = _unit(rng, n, 64)
+        recip = k_reciprocal_sets(
+            knn(pairwise_cosine_distance(_unit(rng, n, 64)), 30))
         tracemalloc.start()
         try:
-            jaccard_distance(k_reciprocal_sets(
-                knn(pairwise_cosine_distance(e), 30)))
+            jaccard_distance(recip)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
+        assert peak < 1.15 * n * n * 8
+
+    def test_out_is_filled_and_returned(self, rng):
+        dm = pairwise_cosine_distance(_unit(rng, 300, 6))
+        recip = k_reciprocal_sets(knn(dm, 10))
+        buf = np.full((300, 300), np.nan)
+        got = jaccard_distance(recip, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, jaccard_distance(recip))
+
+    @pytest.mark.parametrize("bad", [
+        np.empty((12, 11)),
+        np.empty((12, 12), dtype=np.float32),
+        np.empty((12, 12), order="F"),
+        np.empty((12, 24))[:, ::2],
+    ], ids=["shape", "dtype", "fortran", "strided"])
+    def test_bad_out_rejected(self, rng, bad):
+        recip = k_reciprocal_sets(
+            knn(pairwise_cosine_distance(_unit(rng, 12, 4)), 3))
+        with pytest.raises(ValueError, match="out"):
+            jaccard_distance(recip, out=bad)
+
+    def test_asymmetric_adjacency_matches_set_oracle(self, rng):
+        # row i's set need not contain j when row j's contains i, so a product
+        # that used the adjacency in place of its transpose would miscount
+        import scipy.sparse as sp
+        a = rng.random((40, 40)) < 0.15
+        np.fill_diagonal(a, False)
+        assert not np.array_equal(a, a.T)
+        got = jaccard_distance(sp.csr_matrix(a.astype(np.int8)))
+        assert np.allclose(got, jaccard_from_sets(a), atol=1e-12)
 
     def test_range_and_diagonal(self, rng):
         dm = pairwise_cosine_distance(_unit(rng, 30, 6))
@@ -164,8 +195,8 @@ class TestPipeline:
             clustering_distance(e, k=0)
 
     def test_peak_memory_is_one_matrix_plus_a_row_block(self):
-        # the Jaccard result is the only n x n matrix; each worker's row block
-        # of cosine distances and its argpartition index add 2 * 128 / n of one
+        # the Jaccard result is the only n x n matrix, and its rows hold the
+        # cosine blocks; each worker's argpartition index adds 128 / n of one
         pool = generate_pool(GenSpec(num_identities=100, samples_per_identity=30,
                                      d_raw=64, intra_class_sigma=0.15, seed=1))
         x = pool.features.astype(np.float64)
