@@ -44,9 +44,13 @@ def infonce_batch(v: np.ndarray, bank: PrototypeBank, labels: np.ndarray,
     m = z.max(axis=1)
     e = np.exp(z - m[:, None])  # one pass feeds both log-sum-exp and softmax
     s = e.sum(axis=1)
-    value = (m + np.log(s) - z[np.arange(n), labels]).mean()
+    rows = np.arange(n)
+    value = (m + np.log(s) - z[rows, labels]).mean()
     p = e / s[:, None]
-    p[np.arange(n), labels] -= 1.0
+    # the label column's p - 1 is minus the other columns' share: summed
+    # directly, it keeps its precision where the softmax saturates
+    e[rows, labels] = 0.0
+    p[rows, labels] = -e.sum(axis=1) / s
     return LossValue(float(value), p @ w / (tau * n))
 
 

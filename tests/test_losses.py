@@ -65,6 +65,15 @@ class TestInfoNCE:
         worst = max(check_infonce(rng) for _ in range(25))
         assert worst < 1e-6
 
+    def test_saturated_softmax_gradient_matches_fd(self):
+        # draw 471 of this stream saturates the softmax (1 - p[label] below
+        # 1e-12, gradient norm below 3e-11), where a label column computed
+        # as p - 1 loses its last bits to cancellation: 1.3e-3 relative error
+        rng = np.random.default_rng(12345)
+        for _ in range(471):
+            check_infonce(rng)
+        assert check_infonce(rng) < 1e-6
+
     def test_parameter_validation(self, rng):
         bank = PrototypeBank(unit_rows(rng, 3, 4))
         q = rng.standard_normal((1, 4))
