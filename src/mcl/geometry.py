@@ -169,9 +169,9 @@ def jaccard_distance(reciprocal, out: np.ndarray | None = None) -> np.ndarray:
     set is empty and the diagonal is 0. Each `_map_row_blocks` row range
     counts its own intersections as one sparse product (sets are tiny) and
     fills its rows of the dense result from that product's CSR rows, so no
-    whole-pass product is ever held. The result is written into `out`, a
-    C-contiguous (n, n) float64 array whose contents are ignored, when it is
-    given, and returned.
+    whole-pass product is ever held. A given `out`, a C-contiguous (n, n)
+    float64 array whose contents are ignored, receives the result and is
+    returned.
     """
     import scipy.sparse as sp
     n = reciprocal.shape[0]
