@@ -33,7 +33,7 @@ def dbscan(d: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
-    if eps < 0:
+    if not eps >= 0:  # NaN too: it compares false with every distance
         raise ValueError(f"eps must be >= 0, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")

@@ -168,30 +168,45 @@ def write_features(pool: Pool, path) -> None:
         fh.write(pool.identities.astype("<u4").tobytes())
 
 
-def read_features(path) -> Pool:
-    """Read an MCLF pool; raises distinct errors for each malformation, and
-    FeatureFileError for a file without identity labels."""
+def read_layout(path, magic: bytes, header: struct.Struct, version: int,
+                payload_size) -> tuple[list, memoryview]:
+    """Read a fixed-layout file: magic, u16 version, header's other fields,
+    then a payload. Checks the magic, the header's length and the version,
+    then calls payload_size(*fields), which runs the format's own header
+    checks and returns the payload's byte count, and only then checks that
+    count. Returns the fields and the payload."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}, not an MCLF file")
-    if len(raw) < _HEADER.size:
+    if raw[:4] != magic:
+        raise BadMagicError(f"{path}: bad magic {raw[:4]!r}, "
+                            f"not an {magic.decode()} file")
+    if len(raw) < header.size:
         raise TruncatedFileError(f"{path}: header truncated")
-    _, version, flags, n, d = _HEADER.unpack_from(raw)
-    if version != VERSION:
-        raise FeatureFileError(f"{path}: unsupported version {version}")
-    if flags != FLAG_LABELS:
-        raise FeatureFileError(f"{path}: flags {flags:#x}, need 0x1 (labels)")
-    if d == 0:
-        raise DimensionMismatchError(f"{path}: zero feature dimension")
-    want = n * d * 4 + n * 4
-    body = raw[_HEADER.size:]
+    _, found, *fields = header.unpack_from(raw)
+    if found != version:
+        raise FeatureFileError(f"{path}: unsupported version {found}")
+    want = payload_size(*fields)
+    body = memoryview(raw)[header.size:]
     if len(body) < want:
         raise TruncatedFileError(f"{path}: payload has {len(body)} bytes, need {want}")
     if len(body) > want:
         raise FeatureFileError(f"{path}: {len(body) - want} bytes of trailing data")
-    features = np.frombuffer(body[: n * d * 4], dtype="<f4").reshape(n, d).copy()
-    identities = np.frombuffer(body[n * d * 4:], dtype="<u4").astype(np.int64)
+    return fields, body
+
+
+def read_features(path) -> Pool:
+    """Read an MCLF pool; raises distinct errors for each malformation, and
+    FeatureFileError for a file without identity labels."""
+    def payload_size(flags, n, d):
+        if flags != FLAG_LABELS:
+            raise FeatureFileError(f"{path}: flags {flags:#x}, need 0x1 (labels)")
+        if d == 0:
+            raise DimensionMismatchError(f"{path}: zero feature dimension")
+        return n * d * 4 + n * 4
+
+    (_, n, d), body = read_layout(path, MAGIC, _HEADER, VERSION, payload_size)
+    features = np.frombuffer(body, dtype="<f4", count=n * d).reshape(n, d).copy()
+    identities = np.frombuffer(body, dtype="<u4", offset=n * d * 4).astype(np.int64)
     return Pool(features, identities)
 
 

@@ -4,23 +4,36 @@ The encoder is a small MLP: h = tanh(W1 x + b1), u = W2 h + b2, v = u/|u|;
 setting d_h = 0 drops the hidden layer (single linear map). Outputs are
 always unit-norm. Forward passes cache what the hand-derived backward pass
 needs; gradients are exact and finite-difference checked in the test suite.
+
+MCLP checkpoint layout (all little-endian); the header fixes every shape:
+
+    4 bytes   magic ``MCLP``
+    u16       version (currently 2)
+    u32       d_raw (input width, >= 1)
+    u32       d_h (hidden width; 0 is linear mode: W1 and b1 are absent)
+    u32       d_emb (embedding width, >= 1)
+    float64   W1 (d_h x d_raw), then b1 (d_h)
+    float64   W2 (d_emb x d_h, or d_emb x d_raw in linear mode), then b2 (d_emb)
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BadMagicError, FeatureFileError, TruncatedFileError
+from .data import DimensionMismatchError, FeatureFileError, read_layout
 
 NORM_FLOOR = 1e-12
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 CHECKPOINT_MAGIC = b"MCLP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+_CHECKPOINT_HEADER = struct.Struct("<4sHIII")
 
 
 class DegenerateEmbeddingError(ValueError):
@@ -184,77 +197,44 @@ def lr_at_epoch(base_lr: float, epoch: int, total_epochs: int) -> float:
     return base_lr * factor
 
 
-def write_sections(path, tensors: list[tuple[str, np.ndarray]]) -> None:
-    """Named-section binary container: float64 tensors, little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sHH", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(tensors)))
-        for name, arr in tensors:
-            nm = name.encode()
-            fh.write(struct.pack("<H", len(nm)))
-            fh.write(nm)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_sections(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: bad checkpoint magic {raw[:4]!r}")
-    if len(raw) < 8:
-        raise TruncatedFileError(f"{path}: header truncated")
-    version, count = struct.unpack_from("<HH", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise FeatureFileError(f"{path}: unsupported checkpoint version {version}")
-    off = 8
-    sections: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        try:
-            (nlen,) = struct.unpack_from("<H", raw, off)
-            off += 2
-            name = raw[off:off + nlen].decode()
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", raw, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, off)
-            off += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(raw, dtype="<f8", count=size, offset=off)
-            off += 8 * size
-        except (struct.error, ValueError):
-            raise TruncatedFileError(f"{path}: checkpoint payload truncated")
-        if arr.size != size:
-            raise TruncatedFileError(f"{path}: checkpoint payload truncated")
-        if name in sections:
-            raise FeatureFileError(f"{path}: repeated checkpoint section {name!r}")
-        sections[name] = arr.reshape(shape).astype(np.float64)
-    if off != len(raw):
-        raise FeatureFileError(f"{path}: {len(raw) - off} bytes of trailing data")
-    return sections
+def _shapes(d_raw: int, d_h: int, d_emb: int) -> list[tuple[int, ...]]:
+    """The tensor shapes an MCLP header fixes, in payload order."""
+    hidden = [(d_h, d_raw), (d_h,)] if d_h else []
+    return hidden + [(d_emb, d_h or d_raw), (d_emb,)]
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:
-    write_sections(path, params.tensors())
+    """Write params as an MCLP file (bit-exact round trip with load_checkpoint)."""
+    d_h = 0 if params.W1 is None else len(params.W1)
+    dims = ((params.W2 if d_h == 0 else params.W1).shape[-1], d_h, len(params.W2))
+    tensors = [t for _, t in params.tensors()]
+    shapes = [np.shape(t) for t in tensors]
+    if shapes != _shapes(*dims):
+        raise ValueError(f"encoder shapes do not chain: {shapes}")
+    with open(path, "wb") as fh:
+        fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *dims))
+        for t in tensors:
+            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> EncoderParams:
-    sections = read_sections(path)
-    if set(sections) not in ({"W2", "b2"}, {"W1", "b1", "W2", "b2"}):
-        raise FeatureFileError(f"{path}: unexpected checkpoint sections {sorted(sections)}")
-    params = EncoderParams(
-        W1=sections.get("W1"), b1=sections.get("b1"),
-        W2=sections["W2"], b2=sections["b2"],
-    )
-    # each layer is a (out, in) weight and an (out,) bias; out feeds the next in
-    # and every value is finite
-    tensors = params.tensors()
-    width = None
-    for (w_name, w), (b_name, b) in zip(tensors[::2], tensors[1::2]):
-        if w.ndim != 2 or b.shape != w.shape[:1] or width not in (None, w.shape[1]):
-            shapes = {name: t.shape for name, t in sections.items()}
-            raise FeatureFileError(f"{path}: checkpoint shapes do not chain: {shapes}")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise FeatureFileError(f"{path}: non-finite values in {w_name}/{b_name}")
-        width = w.shape[0]
+    """Read an MCLP file; raises distinct errors for each malformation, and
+    FeatureFileError for a non-finite weight."""
+    def payload_size(d_raw, d_h, d_emb):
+        if d_raw == 0 or d_emb == 0:
+            raise DimensionMismatchError(f"{path}: zero d_raw or d_emb")
+        return 8 * sum(math.prod(s) for s in _shapes(d_raw, d_h, d_emb))
+
+    dims, body = read_layout(path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADER,
+                             CHECKPOINT_VERSION, payload_size)
+    tensors, offset = [], 0
+    for shape in _shapes(*dims):
+        size = math.prod(shape)
+        tensors.append(np.frombuffer(body, dtype="<f8", count=size, offset=offset)
+                       .reshape(shape).astype(np.float64))
+        offset += 8 * size
+    params = EncoderParams(*[None] * (4 - len(tensors)), *tensors)
+    bad = [name for name, t in params.tensors() if not np.isfinite(t).all()]
+    if bad:
+        raise FeatureFileError(f"{path}: non-finite values in {'/'.join(bad)}")
     return params

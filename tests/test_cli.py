@@ -14,10 +14,15 @@ from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _resolve_config, \
     build_parser, main
 from mcl.data import GenSpec, generate_pool, load_pool, read_features, \
     write_features
-from mcl.model import load_checkpoint, write_sections
+from mcl.model import EncoderParams, load_checkpoint, save_checkpoint
 from mcl.trainer import NumericError, TrainConfig
 
 from .conftest import TINY_SPEC
+
+
+def _save_linear(path, w2):
+    """A linear-mode checkpoint with weight w2 and a zero bias at path."""
+    save_checkpoint(EncoderParams(None, None, w2, np.zeros(len(w2))), path)
 
 
 @pytest.fixture
@@ -181,7 +186,7 @@ class TestUsageErrors:
 
     def test_eval_takes_one_encoder_only(self, pool_file, tmp_path):
         ckpt = tmp_path / "c.mclp"
-        write_sections(ckpt, [("W2", np.eye(6, 8)), ("b2", np.zeros(6))])
+        _save_linear(ckpt, np.eye(6, 8))
         with pytest.raises(SystemExit) as exc:
             main(["eval", pool_file, "--checkpoint", str(ckpt),
                   "--identity-init"])
@@ -189,7 +194,7 @@ class TestUsageErrors:
 
     def test_eval_takes_no_d_emb(self, pool_file, tmp_path):
         ckpt = tmp_path / "c.mclp"
-        write_sections(ckpt, [("W2", np.eye(6, 8)), ("b2", np.zeros(6))])
+        _save_linear(ckpt, np.eye(6, 8))
         with pytest.raises(SystemExit) as exc:
             main(["eval", pool_file, "--checkpoint", str(ckpt),
                   "--d-emb", "3"])
@@ -665,18 +670,26 @@ class TestEvalAndDump:
         assert code == EXIT_DATA
 
     def test_malformed_checkpoint_is_data_error(self, pool_file, tmp_path):
-        ckpt = tmp_path / "w1-only.mclp"
-        write_sections(ckpt, [("W1", np.zeros((4, 8))), ("W2", np.eye(6, 4)),
-                              ("b2", np.zeros(6))])
+        ckpt = tmp_path / "truncated.mclp"
+        _save_linear(ckpt, np.eye(6, 8))
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
         code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA
+
+    def test_version_1_checkpoint_is_data_error(self, pool_file, tmp_path,
+                                                capsys):
+        # the named-section layout of version 1 is not read at all
+        ckpt = tmp_path / "v1.mclp"
+        ckpt.write_bytes(struct.pack("<4sHH", b"MCLP", 1, 2) + b"\0" * 64)
+        code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
+        assert code == EXIT_DATA
+        assert "unsupported version 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
     def test_non_finite_checkpoint_is_data_error(self, pool_file, tmp_path,
                                                  capsys, command):
         ckpt = tmp_path / "nan.mclp"
-        write_sections(ckpt, [("W2", np.full((6, 8), np.nan)),
-                              ("b2", np.zeros(6))])
+        _save_linear(ckpt, np.full((6, 8), np.nan))
         code = main([command, pool_file, "--checkpoint", str(ckpt),
                      "-o", str(tmp_path / "out")])
         assert code == EXIT_DATA
@@ -688,8 +701,8 @@ class TestEvalAndDump:
                                                        command):
         # weights for 16-wide rows cannot encode the pool's 8-wide rows
         ckpt = tmp_path / "wide.mclp"
-        write_sections(ckpt, [("W1", np.ones((4, 16))), ("b1", np.zeros(4)),
-                              ("W2", np.ones((6, 4))), ("b2", np.zeros(6))])
+        save_checkpoint(EncoderParams(np.ones((4, 16)), np.zeros(4),
+                                      np.ones((6, 4)), np.zeros(6)), ckpt)
         out = tmp_path / "out"
         code = main([command, pool_file, "--checkpoint", str(ckpt),
                      "-o", str(out)])
@@ -705,8 +718,7 @@ class TestEvalAndDump:
         # finite weights whose products overflow: the encoder output is not
         # finite, which is a numeric failure, not a file error
         ckpt = tmp_path / "huge.mclp"
-        write_sections(ckpt, [("W2", np.full((6, 8), 1e308)),
-                              ("b2", np.zeros(6))])
+        _save_linear(ckpt, np.full((6, 8), 1e308))
         code = main([command, pool_file, "--checkpoint", str(ckpt),
                      "-o", str(tmp_path / "out")])
         assert code == EXIT_NUMERIC
@@ -720,15 +732,13 @@ class TestEvalAndDump:
         assert code == EXIT_DATA
         assert "error: holdout_fraction must" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tail,extra", [
-        (b"\0" * 14, []),
-        (b"", [("W2", np.eye(6, 8))]),
-    ], ids=["trailing-bytes", "repeated-section"])
+    @pytest.mark.parametrize("tail", [b"\0" * 14, np.ones(6).tobytes()],
+                             ids=["trailing-bytes", "extra-tensor"])
     def test_checkpoint_with_leftovers_is_data_error(self, pool_file,
-                                                     tmp_path, tail, extra):
+                                                     tmp_path, tail):
+        # bytes past the promised tensors, even a whole tensor, are refused
         ckpt = tmp_path / "c.mclp"
-        write_sections(ckpt, [("W2", np.eye(6, 8)), ("b2", np.zeros(6))]
-                       + extra)
+        _save_linear(ckpt, np.eye(6, 8))
         ckpt.write_bytes(ckpt.read_bytes() + tail)
         code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA

@@ -127,6 +127,12 @@ class TestStructure:
         with pytest.raises(ValueError):
             dbscan(d, eps=0.5, min_pts=0)
 
+    def test_nan_eps_is_refused(self):
+        # NaN compares false with every distance, so it would silently call
+        # even coincident points outliers
+        with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+            dbscan(np.zeros((5, 5)), eps=float("nan"), min_pts=1)
+
     def test_members_accessor(self):
         a = ClusterAssignment(labels=np.array([0, 1, 0, -1, 1]), num_clusters=2)
         assert a.num_outliers == 1

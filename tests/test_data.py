@@ -137,7 +137,9 @@ class TestMCLFRoundTrip:
         else:  # the program writes labels; label-less files come from outside
             path.write_bytes(struct.pack("<4sHHII", b"MCLF", 1, 0, n, d)
                              + pool.features.astype("<f4").tobytes())
-            with pytest.raises(FeatureFileError, match="pool.mclf"):
+            # the flags are checked before the payload length
+            with pytest.raises(FeatureFileError,
+                               match=r"pool\.mclf: flags 0x0, need 0x1"):
                 read_features(path)
 
     @pytest.mark.parametrize("flags", [0x0003, 0x0002])

@@ -1,10 +1,14 @@
 """Encoder forward/backward, augmentation, Adam, schedule, checkpoint IO."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcl.data import BadMagicError, FeatureFileError, TruncatedFileError
+from mcl.data import BadMagicError, DimensionMismatchError, FeatureFileError, \
+    TruncatedFileError
 from mcl.model import (
     DegenerateEmbeddingError,
     EncoderParams,
@@ -16,9 +20,7 @@ from mcl.model import (
     encode_forward,
     load_checkpoint,
     lr_at_epoch,
-    read_sections,
     save_checkpoint,
-    write_sections,
 )
 
 from .oracles import central_difference, relative_error
@@ -262,34 +264,36 @@ class TestCheckpoint:
         with pytest.raises(FeatureFileError, match="trailing"):
             load_checkpoint(path)
 
-    def test_repeated_section_rejected(self, tmp_path):
-        # the last copy must not silently win
+    def test_header_promising_more_than_the_file_holds(self, tmp_path):
+        # every width at u32's maximum promises ~3e20 bytes: the payload
+        # length is checked before any tensor is allocated
         path = tmp_path / "x.mclp"
-        write_sections(path, [("W2", np.zeros((2, 2))), ("b2", np.zeros(2)),
-                              ("W2", np.ones((2, 2)))])
-        with pytest.raises(FeatureFileError, match="repeated"):
-            read_sections(path)
+        path.write_bytes(struct.pack("<4sHIII", b"MCLP", 2, *[2**32 - 1] * 3)
+                         + b"\0" * 64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFileError, match="payload has 64 bytes"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
-    def test_unknown_sections_rejected(self, tmp_path):
+    @pytest.mark.parametrize("dims", [(0, 3, 2), (4, 3, 0), (0, 0, 2)])
+    def test_zero_input_or_embedding_width_rejected(self, tmp_path, dims):
         path = tmp_path / "x.mclp"
-        write_sections(path, [("W2", np.zeros((2, 2))), ("b2", np.zeros(2)),
-                              ("mystery", np.zeros(3))])
-        with pytest.raises(FeatureFileError):
+        path.write_bytes(struct.pack("<4sHIII", b"MCLP", 2, *dims))
+        with pytest.raises(DimensionMismatchError, match="zero d_raw or d_emb"):
             load_checkpoint(path)
 
-    def test_w1_without_b1_rejected(self, tmp_path):
+    def test_shapes_must_chain(self, rng, tmp_path):
+        # a file cannot break the chain, so save refuses to write one that would
+        params = _params(rng)
+        params.b1 = np.zeros(params.b1.size + 1)
         path = tmp_path / "x.mclp"
-        write_sections(path, [("W1", np.zeros((3, 4))), ("W2", np.zeros((2, 3))),
-                              ("b2", np.zeros(2))])
-        with pytest.raises(FeatureFileError):
-            load_checkpoint(path)
-
-    def test_shapes_must_chain(self, tmp_path):
-        path = tmp_path / "x.mclp"
-        write_sections(path, [("W1", np.zeros((3, 4))), ("b1", np.zeros(3)),
-                              ("W2", np.zeros((2, 5))), ("b2", np.zeros(2))])
-        with pytest.raises(FeatureFileError):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match="do not chain"):
+            save_checkpoint(params, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -311,14 +315,3 @@ class TestCheckpoint:
         back = load_checkpoint(path)
         for (_, t1), (_, t2) in zip(params.tensors(), back.tensors()):
             assert t1.tobytes() == t2.tobytes()
-
-    def test_sections_container_shapes(self, tmp_path):
-        path = tmp_path / "s.mclp"
-        tensors = [("a", np.arange(6.0).reshape(2, 3)),
-                   ("b", np.array([1.5])),
-                   ("c", np.arange(8.0).reshape(2, 2, 2))]
-        write_sections(path, tensors)
-        back = read_sections(path)
-        for name, arr in tensors:
-            assert back[name].shape == arr.shape
-            assert np.array_equal(back[name], arr)
