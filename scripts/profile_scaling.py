@@ -14,22 +14,28 @@ import sys
 
 import numpy as np
 
-from mcl.cli import comma_list
+from mcl.cli import comma_list, ruled
 from mcl.geometry import _worker_count
 from mcl.metrics import profile_clustering
+
+K = 30  # neighbours per point in each profiled pass, profile_clustering's default
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
     ap.add_argument("--sizes", type=comma_list(int),
                     default="2000,8000,20000", help="comma list of pool sizes")
-    ap.add_argument("--fractions", type=comma_list(float),
+    ap.add_argument("--fractions", type=comma_list(ruled(float, "in (0, 1]")),
                     default="1.0,0.5,0.25")
-    ap.add_argument("--d", type=int, default=64)
-    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--d", type=ruled(int, ">= 1"), default=64)
+    ap.add_argument("--repeats", type=ruled(int, ">= 1"), default=3)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
+    smallest = round(min(args.sizes) * min(args.fractions))
+    if smallest <= K:
+        ap.error(f"the smallest subset has {smallest} points; a pass with "
+                 f"k = {K} needs more than {K}")
 
     fractions = sorted(set(args.fractions), reverse=True)
     rng = np.random.default_rng(args.seed)
@@ -46,8 +52,8 @@ def main(argv=None):
             if not rows:
                 # untimed: the first pass pays one-time costs (lazy scipy and
                 # thread-pool imports) that would inflate the r = 1 base wall
-                profile_clustering(x[:m], repeats=1)
-            prof = profile_clustering(x[:m], repeats=args.repeats)
+                profile_clustering(x[:m], k=K, repeats=1)
+            prof = profile_clustering(x[:m], k=K, repeats=args.repeats)
             if base is None:
                 base = prof
             rows.append((n, r, m, prof.distance_entries, prof.peak_bytes,

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from mcl.cli import comma_list
+from mcl.cli import comma_list, ruled
 from mcl.cluster import dbscan
 from mcl.data import GenSpec, generate_pool
 from mcl.geometry import clustering_distance
@@ -27,9 +27,11 @@ def main(argv=None):
     ap.add_argument("--intra-class-sigma", type=float, default=0.15)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--k-neighbors", type=int, default=30)
-    ap.add_argument("--eps", type=comma_list(float),
+    # TrainConfig's rules, checked as the flags are parsed, before the pass
+    ap.add_argument("--eps", type=comma_list(ruled(float, "in [0, 1)")),
                     default="0.4,0.5,0.6,0.7,0.8,0.9")
-    ap.add_argument("--min-pts", type=comma_list(int), default="2,4,6")
+    ap.add_argument("--min-pts", type=comma_list(ruled(int, ">= 1")),
+                    default="2,4,6")
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
 

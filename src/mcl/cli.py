@@ -18,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -25,8 +26,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .data import DimensionMismatchError, FeatureFileError, GenSpec, Pool, \
-    generate_pool, load_pool, write_features
+from .data import _RULES, DimensionMismatchError, FeatureFileError, GenSpec, \
+    Pool, generate_pool, load_pool, write_features
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
@@ -84,6 +85,20 @@ def comma_list(cast):
     def parse(text: str) -> list:
         return [cast(item) for item in text.split(",")]
     parse.__name__ = f"{cast.__name__} list"  # argparse's message names it
+    return parse
+
+
+def ruled(cast, rule: str):
+    """An argparse type for one cast value that must be finite and meet a
+    check_fields rule, such as "in [0, 1)"; a value that does not is a usage
+    error (exit 2), so a script refuses it before doing any work."""
+    def parse(text: str):
+        value = cast(text)
+        if not (math.isfinite(value) and _RULES[rule](value)):
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: must be {rule}")
+        return value
+    parse.__name__ = cast.__name__
     return parse
 
 

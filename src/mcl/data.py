@@ -52,7 +52,8 @@ class DimensionMismatchError(FeatureFileError):
 
 _RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
           ">= 2": lambda v: v >= 2, "> 0": lambda v: v > 0,
-          "in [0, 1]": lambda v: 0 <= v <= 1, "in [0, 1)": lambda v: 0 <= v < 1}
+          "in [0, 1]": lambda v: 0 <= v <= 1, "in [0, 1)": lambda v: 0 <= v < 1,
+          "in (0, 1]": lambda v: 0 < v <= 1}
 
 
 def check_fields(spec, rules: dict[str, str]) -> None:

@@ -11,9 +11,10 @@ run on up to one worker thread per CPU in the process's affinity mask; the
 numpy calls they make release the GIL, and each block writes only its own
 rows, so the results are bitwise the same for any worker count. A pass
 computes its cosine rows and Jaccard rows in the result matrix itself, so each
-worker holds only about `_ROW_BLOCK` x n x 8 bytes in flight, the kNN
-selection's argpartition index. scipy.sparse loads inside the functions that
-use it, so `import mcl` loads no scipy.
+worker holds only about `_ROW_BLOCK` x n x 2 bytes in flight, the kNN
+selection's sampled columns (8 bytes per `_STRIDE` entries) and its candidate
+mask (1 byte per entry). scipy.sparse loads inside the functions that use it,
+so `import mcl` loads no scipy.
 """
 
 from __future__ import annotations
@@ -24,8 +25,12 @@ import numpy as np
 
 # rows per block. Keep it small: glibc keeps each worker thread's freed blocks
 # in that thread's own malloc arena, so 256 rows already cost 7 MiB more peak
-# RSS than 128 on a benchmark training run, for no measurable speed
+# RSS than 128 on a benchmark training run, for no measurable speed. It also
+# pins results: OpenBLAS dgemm rounds some dot products differently for 64-,
+# 128- and 256-row blocks, so another height moves the cosine rows' last bits
 _ROW_BLOCK = 128
+# the kNN selection samples every _STRIDE-th column of a row for its threshold
+_STRIDE = 8
 
 
 def _worker_count() -> int:
@@ -105,36 +110,37 @@ def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
     here, so it must be a fresh array or a view of rows the caller owns and
     no longer needs. It is called on worker threads, so it must not touch
     shared state beyond its own rows.
-    Ordered by ascending distance; exact ties resolved by lower index. Uses
-    argpartition with a tie-widening fallback so the rule holds even when
-    many entries at the cut boundary are equal.
+    Ordered by ascending distance; exact ties resolved by lower index. Each
+    row's threshold t is the q-th smallest entry of every `_STRIDE`-th
+    column, q = (k + 1) // 4 + 6, and only the entries <= t, about 8q of
+    them, are sorted. Once there are k of them they hold the k nearest
+    exactly, ties at t included; a row with fewer is sorted in full.
     """
     if k >= n:
         raise ValueError(f"k={k} must be < n={n}")
     if k < 1:
         raise ValueError("k must be >= 1")
     out = np.empty((n, k), dtype=np.int64)
-    pad = min(32, n - 1 - k)
-    m = k + pad
     ar = np.arange(n)
+    q = min((k + 1) // 4 + 6, -(-n // _STRIDE))  # clipped to the sample
 
     def select(lo: int, hi: int) -> None:
         block = distance_rows(lo, hi)
         block[ar[lo:hi] - lo, ar[lo:hi]] = np.inf  # exclude self
-        if m >= n - 1:
-            cand = np.broadcast_to(ar, block.shape)
-        else:
-            cand = np.argpartition(block, m, axis=1)[:, : m + 1]
-        cvals = np.take_along_axis(block, cand, axis=1)
-        order = np.lexsort((cand, cvals), axis=1)
-        cand = np.take_along_axis(cand, order, axis=1)
-        cvals = np.take_along_axis(cvals, order, axis=1)
-        out[lo:hi] = cand[:, :k]
-        if m < n - 1:
-            # a tie spilling past the padded candidate set needs an exact redo
-            spill = cvals[:, k - 1] == cvals[:, m]
-            for r in np.flatnonzero(spill):
-                out[lo + r] = np.lexsort((ar, block[r]))[:k]
+        t = np.partition(block[:, ::_STRIDE], q - 1, axis=1)[:, q - 1:q]
+        # flat indices keep row-major order, so each row's columns ascend
+        rows, cols = np.divmod(np.flatnonzero(block <= t), n)
+        counts = np.bincount(rows, minlength=hi - lo)
+        at = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        # +inf pads sort after every candidate: the sort is stable
+        vals = np.full((hi - lo, max(k, counts.max())), np.inf)
+        vals[rows, at] = block[rows, cols]
+        cand = np.zeros(vals.shape, dtype=np.int64)
+        cand[rows, at] = cols
+        order = np.argsort(vals, axis=1, kind="stable")[:, :k]
+        out[lo:hi] = np.take_along_axis(cand, order, axis=1)
+        for r in np.flatnonzero(counts < k):
+            out[lo + r] = np.lexsort((ar, block[r]))[:k]
 
     _map_row_blocks(select, n)
     return out

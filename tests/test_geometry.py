@@ -72,6 +72,27 @@ class TestKnn:
         for k in (1, 3, 7, n - 2):
             assert np.array_equal(knn(d, k), knn_full_sort(d, k))
 
+    @pytest.mark.parametrize("k", [1, 30, 100])
+    def test_sampled_threshold_matches_full_sort(self, rng, k):
+        # n = 650: five row blocks, the last one partial, and a column sample
+        # of 82 entries, longer than the threshold's rank q
+        n = 650
+        e = _unit(rng, n, 6)
+        raw = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+        for d in (pairwise_cosine_distance(e),
+                  (raw + raw.T) / 2.0,  # exact ties everywhere, at t too
+                  pairwise_cosine_distance(e[rng.integers(0, n // 3, size=n)])):
+            assert np.array_equal(knn(d, k), knn_full_sort(d, k))
+
+    def test_rows_short_of_k_candidates_are_sorted_in_full(self, rng):
+        # every row's nearest points are sampled columns, so its threshold
+        # admits only q < k candidates and the full sort must run
+        n = 650
+        d = rng.random((n, n)) + 1.0
+        d[:, ::geometry._STRIDE] -= 1.0
+        for k in (30, 100):
+            assert np.array_equal(knn(d, k), knn_full_sort(d, k))
+
     def test_k_bounds(self, rng):
         dm = pairwise_cosine_distance(_unit(rng, 6, 4))
         with pytest.raises(ValueError):
@@ -196,7 +217,8 @@ class TestPipeline:
 
     def test_peak_memory_is_one_matrix_plus_a_row_block(self):
         # the Jaccard result is the only n x n matrix, and its rows hold the
-        # cosine blocks; each worker's argpartition index adds 128 / n of one
+        # cosine blocks; each worker's kNN selection adds about 2 x 128 bytes
+        # per column, its candidate mask and sampled columns: 32 / n of one
         pool = generate_pool(GenSpec(num_identities=100, samples_per_identity=30,
                                      d_raw=64, intra_class_sigma=0.15, seed=1))
         x = pool.features.astype(np.float64)

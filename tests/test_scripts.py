@@ -63,6 +63,25 @@ def test_bad_list_item_is_usage_error(script, args):
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("script,args,message", [
+    ("sweep_dbscan.py", ["--eps", "nan"], "must be in [0, 1)"),
+    ("sweep_dbscan.py", ["--eps", "0.5,-0.1"], "must be in [0, 1)"),
+    ("sweep_dbscan.py", ["--min-pts", "2,0"], "must be >= 1"),
+    ("profile_scaling.py", ["--fractions", "0"], "must be in (0, 1]"),
+    ("profile_scaling.py", ["--fractions", "1.0,-0.5"], "must be in (0, 1]"),
+    ("profile_scaling.py", ["--repeats", "0"], "must be >= 1"),
+    ("profile_scaling.py", ["--d", "0"], "must be >= 1"),
+    ("profile_scaling.py", ["--sizes", "300", "--fractions", "0.1"],
+     "the smallest subset has 30 points"),
+])
+def test_out_of_range_value_is_usage_error(script, args, message):
+    # refused as the flags are parsed, not by a traceback after the work
+    done = _run(script, *args)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert done.stdout == ""
+
+
 def test_readme_names_every_script():
     readme = (ROOT / "README.md").read_text()
     named = set(re.findall(r"scripts/([\w-]+\.py)", readme))
