@@ -208,7 +208,7 @@ def cmd_compare(args) -> int:
 def _checkpoint_for(path, pool: Pool) -> EncoderParams:
     """The checkpoint at path, refused unless its input width is pool's."""
     params = load_checkpoint(path)
-    width = params.tensors()[0][1].shape[1]
+    width = params.W1.shape[1]
     if width != pool.d_raw:
         raise DimensionMismatchError(f"{path}: checkpoint takes {width}-wide "
                                      f"input, the pool has d_raw {pool.d_raw}")
@@ -217,9 +217,8 @@ def _checkpoint_for(path, pool: Pool) -> EncoderParams:
 
 def cmd_eval(args) -> int:
     pool = load_pool(args.pool)
-    if args.identity_init:
-        params = EncoderParams.identity_init(pool.d_raw)
-    else:
+    params = None  # --identity-init: evaluate scores the raw rows
+    if args.checkpoint is not None:
         params = _checkpoint_for(args.checkpoint, pool)
     _, query_pos, gallery_pos = holdout_split(pool, args.holdout_fraction)
     mean_ap, cmc = evaluate(params, pool, query_pos, gallery_pos)
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     encoder = e.add_mutually_exclusive_group(required=True)
     encoder.add_argument("--checkpoint")
     encoder.add_argument("--identity-init", action="store_true",
-                         help="evaluate the raw features instead")
+                         help="score the raw rows scaled to unit norm")
     e.add_argument("--holdout-fraction", type=float,
                    default=TrainConfig.holdout_fraction)
     e.add_argument("-o", "--out", default=None)

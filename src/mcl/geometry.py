@@ -149,8 +149,11 @@ def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
 def knn(d: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest neighbors per row, self excluded.
 
-    Ordered by ascending distance; exact ties resolved by lower index.
+    Ordered by ascending distance; exact ties resolved by lower index. A
+    non-finite d is refused: self is excluded by writing +inf on the diagonal.
     """
+    if not np.isfinite(d).all():
+        raise ValueError("non-finite distances")
     return _knn_by_blocks(d.shape[0], k, lambda lo, hi: d[lo:hi].copy())
 
 

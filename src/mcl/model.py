@@ -1,19 +1,19 @@
 """Trainable encoder, feature-space augmentation, and the Adam optimizer.
 
-The encoder is a small MLP: h = tanh(W1 x + b1), u = W2 h + b2, v = u/|u|;
-setting d_h = 0 drops the hidden layer (single linear map). Outputs are
-always unit-norm. Forward passes cache what the hand-derived backward pass
-needs; gradients are exact and finite-difference checked in the test suite.
+The encoder is a small MLP: h = tanh(W1 x + b1), u = W2 h + b2, v = u/|u|,
+with every width >= 1. Outputs are always unit-norm. Forward passes cache
+what the hand-derived backward pass needs; gradients are exact and
+finite-difference checked in the test suite.
 
 MCLP checkpoint layout (all little-endian); the header fixes every shape:
 
     4 bytes   magic ``MCLP``
     u16       version (currently 2)
     u32       d_raw (input width, >= 1)
-    u32       d_h (hidden width; 0 is linear mode: W1 and b1 are absent)
+    u32       d_h (hidden width, >= 1)
     u32       d_emb (embedding width, >= 1)
     float64   W1 (d_h x d_raw), then b1 (d_h)
-    float64   W2 (d_emb x d_h, or d_emb x d_raw in linear mode), then b2 (d_emb)
+    float64   W2 (d_emb x d_h), then b2 (d_emb)
 """
 
 from __future__ import annotations
@@ -42,64 +42,54 @@ class DegenerateEmbeddingError(ValueError):
 
 @dataclass
 class EncoderParams:
-    """Weights of the encoder. W1/b1 are None in linear mode (d_h = 0)."""
+    """Weights of the encoder."""
 
-    W1: np.ndarray | None  # (d_h, d_raw)
-    b1: np.ndarray | None  # (d_h,)
-    W2: np.ndarray  # (d_emb, d_h) or (d_emb, d_raw) in linear mode
+    W1: np.ndarray  # (d_h, d_raw)
+    b1: np.ndarray  # (d_h,)
+    W2: np.ndarray  # (d_emb, d_h)
     b2: np.ndarray  # (d_emb,)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        if self.W1 is not None:
-            out += [("W1", self.W1), ("b1", self.b1)]
-        out += [("W2", self.W2), ("b2", self.b2)]
-        return out
+        return [("W1", self.W1), ("b1", self.b1), ("W2", self.W2), ("b2", self.b2)]
 
     @classmethod
     def random_init(cls, d_raw: int, d_h: int, d_emb: int,
                     rng: np.random.Generator) -> "EncoderParams":
         """Fan-in scaled Gaussian init; near-linear tanh regime for unit-scale input."""
-        if d_h > 0:
-            w1 = rng.standard_normal((d_h, d_raw)) / np.sqrt(d_raw)
-            b1 = np.zeros(d_h)
-            w2 = rng.standard_normal((d_emb, d_h)) / np.sqrt(d_h)
-        else:
-            w1 = b1 = None
-            w2 = rng.standard_normal((d_emb, d_raw)) / np.sqrt(d_raw)
-        return cls(W1=w1, b1=b1, W2=w2, b2=np.zeros(d_emb))
-
-    @classmethod
-    def identity_init(cls, d: int) -> "EncoderParams":
-        """Linear untrained reference: W2 = the d x d identity."""
-        return cls(W1=None, b1=None, W2=np.eye(d), b2=np.zeros(d))
+        if min(d_raw, d_h, d_emb) < 1:
+            raise ValueError(f"encoder widths must be >= 1, got d_raw {d_raw}, "
+                             f"d_h {d_h}, d_emb {d_emb}")
+        w1 = rng.standard_normal((d_h, d_raw)) / np.sqrt(d_raw)
+        w2 = rng.standard_normal((d_emb, d_h)) / np.sqrt(d_h)
+        return cls(W1=w1, b1=np.zeros(d_h), W2=w2, b2=np.zeros(d_emb))
 
 
 @dataclass
 class EncodeCache:
     x: np.ndarray  # (B, d_raw) float64
-    h: np.ndarray | None  # (B, d_h) post-tanh
+    h: np.ndarray  # (B, d_h) post-tanh
     v: np.ndarray  # (B, d_emb) unit rows
     norms: np.ndarray  # (B,) pre-normalization norms
 
 
-def encode_forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, EncodeCache]:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite encoder input")
-    if params.W1 is not None:
-        h = np.tanh(x @ params.W1.T + params.b1)
-        u = h @ params.W2.T + params.b2
-    else:
-        h = None
-        u = x @ params.W2.T + params.b2
+def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of u scaled to unit norm, and their norms; refuses a norm that
+    is not finite or is below NORM_FLOOR."""
     norms = np.linalg.norm(u, axis=1)
     # a finite norm >= the floor makes every row of v finite and unit-norm
     if not np.isfinite(norms).all():
         raise FloatingPointError("non-finite encoder output (diverged weights)")
     if norms.min(initial=np.inf) < NORM_FLOOR:
         raise DegenerateEmbeddingError("pre-normalization norm below 1e-12")
-    v = u / norms[:, None]
+    return u / norms[:, None], norms
+
+
+def encode_forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, EncodeCache]:
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite encoder input")
+    h = np.tanh(x @ params.W1.T + params.b1)
+    v, norms = normalize_rows(h @ params.W2.T + params.b2)
     return v, EncodeCache(x=x, h=h, v=v, norms=norms)
 
 
@@ -110,17 +100,10 @@ def encode_backward(params: EncoderParams, cache: EncodeCache,
     v, norms = cache.v, cache.norms
     # v = u/|u|  =>  du = (g - (g.v) v)/|u|
     gu = (grad_v - (grad_v * v).sum(axis=1, keepdims=True) * v) / norms[:, None]
-    grads: dict[str, np.ndarray] = {}
-    if params.W1 is not None:
-        grads["W2"] = gu.T @ cache.h
-        grads["b2"] = gu.sum(axis=0)
-        gh = gu @ params.W2
-        ga = gh * (1.0 - cache.h * cache.h)
-        grads["W1"] = ga.T @ cache.x
-        grads["b1"] = ga.sum(axis=0)
-    else:
-        grads["W2"] = gu.T @ cache.x
-        grads["b2"] = gu.sum(axis=0)
+    grads = {"W2": gu.T @ cache.h, "b2": gu.sum(axis=0)}
+    ga = (gu @ params.W2) * (1.0 - cache.h * cache.h)
+    grads["W1"] = ga.T @ cache.x
+    grads["b1"] = ga.sum(axis=0)
     return grads
 
 
@@ -199,15 +182,15 @@ def lr_at_epoch(base_lr: float, epoch: int, total_epochs: int) -> float:
 
 def _shapes(d_raw: int, d_h: int, d_emb: int) -> list[tuple[int, ...]]:
     """The tensor shapes an MCLP header fixes, in payload order."""
-    hidden = [(d_h, d_raw), (d_h,)] if d_h else []
-    return hidden + [(d_emb, d_h or d_raw), (d_emb,)]
+    return [(d_h, d_raw), (d_h,), (d_emb, d_h), (d_emb,)]
 
 
 def save_checkpoint(params: EncoderParams, path) -> None:
     """Write params as an MCLP file (bit-exact round trip with load_checkpoint)."""
-    d_h = 0 if params.W1 is None else len(params.W1)
-    dims = ((params.W2 if d_h == 0 else params.W1).shape[-1], d_h, len(params.W2))
     tensors = [t for _, t in params.tensors()]
+    if any(t is None for t in tensors):
+        raise ValueError("an encoder needs all of W1, b1, W2 and b2")
+    dims = (params.W1.shape[-1], len(params.W1), len(params.W2))
     shapes = [np.shape(t) for t in tensors]
     if shapes != _shapes(*dims):
         raise ValueError(f"encoder shapes do not chain: {shapes}")
@@ -221,8 +204,8 @@ def load_checkpoint(path) -> EncoderParams:
     """Read an MCLP file; raises distinct errors for each malformation, and
     FeatureFileError for a non-finite weight."""
     def payload_size(d_raw, d_h, d_emb):
-        if d_raw == 0 or d_emb == 0:
-            raise DimensionMismatchError(f"{path}: zero d_raw or d_emb")
+        if 0 in (d_raw, d_h, d_emb):
+            raise DimensionMismatchError(f"{path}: zero d_raw, d_h or d_emb")
         return 8 * sum(math.prod(s) for s in _shapes(d_raw, d_h, d_emb))
 
     dims, body = read_layout(path, CHECKPOINT_MAGIC, _CHECKPOINT_HEADER,
@@ -233,7 +216,7 @@ def load_checkpoint(path) -> EncoderParams:
         tensors.append(np.frombuffer(body, dtype="<f8", count=size, offset=offset)
                        .reshape(shape).astype(np.float64))
         offset += 8 * size
-    params = EncoderParams(*[None] * (4 - len(tensors)), *tensors)
+    params = EncoderParams(*tensors)
     bad = [name for name, t in params.tensors() if not np.isfinite(t).all()]
     if bad:
         raise FeatureFileError(f"{path}: non-finite values in {'/'.join(bad)}")

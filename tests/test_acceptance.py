@@ -219,7 +219,7 @@ def test_criterion_6_invariants(small_pool, tmp_path):
                       p2_identities=2, i2_instances=2, d_hidden=16,
                       d_emb=8, seed=0)
     bank = PrototypeBank(unit_rows(rng, 3, 6))
-    params = EncoderParams.random_init(6, 0, 6, rng)
+    params = EncoderParams.random_init(6, 8, 6, rng)
     opt = OptimizerState.for_params(params, lr=1e-3)
     rest = [np.arange(0, 12), np.arange(12, 24), np.arange(24, 36)]
     stats = run_phase2_epoch(rng.standard_normal((36, 6)), rest, bank,

@@ -94,8 +94,16 @@ def test_benchmark_worker_runs_on_a_small_pool(tmp_path):
     assert task["num_clusters"] >= 1
     assert 0.0 < task["quality"] <= 1.0
     assert len(task["fingerprint"]) == 64
-    params = EncoderParams.identity_init(pool.d_raw)
+    params = EncoderParams.random_init(pool.d_raw, 4, 4,
+                                       np.random.default_rng(0))
     assert 0.0 < worker.heldout_map(loaded, params, 0.25) <= 1.0
+
+
+def test_fingerprint_hashes_the_tensors_in_a_fixed_order():
+    # perfbench's train fingerprint hashes each (name, bytes) of tensors() in
+    # order, so a reorder would move every recorded fingerprint
+    params = EncoderParams.random_init(3, 2, 2, np.random.default_rng(0))
+    assert [name for name, _ in params.tensors()] == ["W1", "b1", "W2", "b2"]
 
 
 def test_import_loads_no_scipy():

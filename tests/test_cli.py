@@ -12,17 +12,21 @@ import pytest
 
 from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _resolve_config, \
     build_parser, main
-from mcl.data import GenSpec, generate_pool, load_pool, read_features, \
-    write_features
+from mcl.data import GenSpec, Pool, generate_pool, load_pool, \
+    read_features, write_features
+from mcl.metrics import compute_map_cmc
 from mcl.model import EncoderParams, load_checkpoint, save_checkpoint
-from mcl.trainer import NumericError, TrainConfig
+from mcl.trainer import NumericError, TrainConfig, holdout_split
 
 from .conftest import TINY_SPEC
 
 
-def _save_linear(path, w2):
-    """A linear-mode checkpoint with weight w2 and a zero bias at path."""
-    save_checkpoint(EncoderParams(None, None, w2, np.zeros(len(w2))), path)
+def _save_encoder(path, w2):
+    """A checkpoint at path: hidden layer W1 = I, output weight w2, zero
+    biases."""
+    d_h = w2.shape[1]
+    save_checkpoint(EncoderParams(np.eye(d_h), np.zeros(d_h), w2,
+                                  np.zeros(len(w2))), path)
 
 
 @pytest.fixture
@@ -129,6 +133,7 @@ def test_gen_option_strings():
     ("train", "--k-neighbors", "0"),
     ("train", "--d-emb", "0"),
     ("train", "--d-hidden", "-1"),
+    ("train", "--d-hidden", "0"),
     ("train", "--seed", "-1"),
     ("compare", "--n-subsets", "0"),
     ("gen", "--num-identities", "1"),
@@ -186,7 +191,7 @@ class TestUsageErrors:
 
     def test_eval_takes_one_encoder_only(self, pool_file, tmp_path):
         ckpt = tmp_path / "c.mclp"
-        _save_linear(ckpt, np.eye(6, 8))
+        _save_encoder(ckpt, np.eye(6, 8))
         with pytest.raises(SystemExit) as exc:
             main(["eval", pool_file, "--checkpoint", str(ckpt),
                   "--identity-init"])
@@ -194,7 +199,7 @@ class TestUsageErrors:
 
     def test_eval_takes_no_d_emb(self, pool_file, tmp_path):
         ckpt = tmp_path / "c.mclp"
-        _save_linear(ckpt, np.eye(6, 8))
+        _save_encoder(ckpt, np.eye(6, 8))
         with pytest.raises(SystemExit) as exc:
             main(["eval", pool_file, "--checkpoint", str(ckpt),
                   "--d-emb", "3"])
@@ -636,6 +641,30 @@ class TestEvalAndDump:
         printed = json.loads(capsys.readouterr().out)
         assert printed["mean_ap"] == got["mean_ap"]
 
+    def test_eval_identity_init_scores_unit_raw_rows(self, tiny_pool,
+                                                     pool_file, capsys):
+        assert main(["eval", pool_file, "--identity-init"]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        _, query, gallery = holdout_split(tiny_pool, 0.25)
+        x = tiny_pool.features.astype(np.float64)
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        mean_ap, _ = compute_map_cmc(unit[query], unit[gallery],
+                                     tiny_pool.identities[query],
+                                     tiny_pool.identities[gallery])
+        assert printed["mean_ap"] == mean_ap
+
+    def test_eval_identity_init_refuses_a_zero_row(self, tiny_pool, tmp_path,
+                                                   capsys):
+        features = tiny_pool.features.copy()
+        features[-1] = 0.0
+        # the zeroed row is scored: it is in the default holdout's gallery
+        assert len(features) - 1 in holdout_split(tiny_pool, 0.25)[2]
+        path = tmp_path / "zero.mclf"
+        write_features(Pool(features, tiny_pool.identities), path)
+        code = main(["eval", str(path), "--identity-init"])
+        assert code == EXIT_DATA
+        assert "pre-normalization norm below 1e-12" in capsys.readouterr().err
+
     def test_eval_trained_checkpoint(self, pool_file, tmp_path, capsys):
         # train's last evaluation and eval share one path and the default
         # holdout, so the saved weights score exactly the reported mAP
@@ -671,7 +700,7 @@ class TestEvalAndDump:
 
     def test_malformed_checkpoint_is_data_error(self, pool_file, tmp_path):
         ckpt = tmp_path / "truncated.mclp"
-        _save_linear(ckpt, np.eye(6, 8))
+        _save_encoder(ckpt, np.eye(6, 8))
         ckpt.write_bytes(ckpt.read_bytes()[:-8])
         code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA
@@ -689,7 +718,7 @@ class TestEvalAndDump:
     def test_non_finite_checkpoint_is_data_error(self, pool_file, tmp_path,
                                                  capsys, command):
         ckpt = tmp_path / "nan.mclp"
-        _save_linear(ckpt, np.full((6, 8), np.nan))
+        _save_encoder(ckpt, np.full((6, 8), np.nan))
         code = main([command, pool_file, "--checkpoint", str(ckpt),
                      "-o", str(tmp_path / "out")])
         assert code == EXIT_DATA
@@ -718,7 +747,7 @@ class TestEvalAndDump:
         # finite weights whose products overflow: the encoder output is not
         # finite, which is a numeric failure, not a file error
         ckpt = tmp_path / "huge.mclp"
-        _save_linear(ckpt, np.full((6, 8), 1e308))
+        _save_encoder(ckpt, np.full((6, 8), 1e308))
         code = main([command, pool_file, "--checkpoint", str(ckpt),
                      "-o", str(tmp_path / "out")])
         assert code == EXIT_NUMERIC
@@ -738,7 +767,7 @@ class TestEvalAndDump:
                                                      tmp_path, tail):
         # bytes past the promised tensors, even a whole tensor, are refused
         ckpt = tmp_path / "c.mclp"
-        _save_linear(ckpt, np.eye(6, 8))
+        _save_encoder(ckpt, np.eye(6, 8))
         ckpt.write_bytes(ckpt.read_bytes() + tail)
         code = main(["eval", pool_file, "--checkpoint", str(ckpt)])
         assert code == EXIT_DATA

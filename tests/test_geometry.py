@@ -93,6 +93,16 @@ class TestKnn:
         for k in (30, 100):
             assert np.array_equal(knn(d, k), knn_full_sort(d, k))
 
+    def test_non_finite_distances_rejected(self):
+        # self is excluded by a +inf entry, which a +inf or NaN entry at a
+        # lower index would tie with or sort after
+        with pytest.raises(ValueError, match="non-finite"):
+            knn(np.full((6, 6), np.inf), 2)
+        d = np.ones((6, 6))
+        d[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            knn(d, 3)
+
     def test_k_bounds(self, rng):
         dm = pairwise_cosine_distance(_unit(rng, 6, 4))
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from mcl.model import (
     encode_forward,
     load_checkpoint,
     lr_at_epoch,
+    normalize_rows,
     save_checkpoint,
 )
 
@@ -44,17 +45,14 @@ class TestForward:
         want = u / np.linalg.norm(u, axis=1, keepdims=True)
         assert np.allclose(encode_batch(params, x), want, atol=1e-12)
 
-    def test_linear_mode(self, rng):
-        params = EncoderParams.random_init(6, 0, 4, rng)
-        assert params.W1 is None and params.b1 is None
-        x = rng.standard_normal((5, 6))
-        u = x @ params.W2.T + params.b2
-        want = u / np.linalg.norm(u, axis=1, keepdims=True)
-        assert np.allclose(encode_batch(params, x), want, atol=1e-12)
+    @pytest.mark.parametrize("dims", [(0, 4, 2), (6, 0, 4), (6, 4, 0)])
+    def test_zero_width_rejected(self, rng, dims):
+        with pytest.raises(ValueError, match="widths must be >= 1"):
+            EncoderParams.random_init(*dims, rng)
 
     def test_degenerate_embedding_raises(self):
-        params = EncoderParams(W1=None, b1=None, W2=np.zeros((3, 4)),
-                               b2=np.zeros(3))
+        params = EncoderParams(W1=np.eye(4), b1=np.zeros(4),
+                               W2=np.zeros((3, 4)), b2=np.zeros(3))
         with pytest.raises(DegenerateEmbeddingError):
             encode_batch(params, np.ones((2, 4)))
 
@@ -64,12 +62,11 @@ class TestForward:
         with pytest.raises(ValueError):
             encode_batch(params, x)
 
-    def test_identity_init_is_projection(self):
-        params = EncoderParams.identity_init(6)
-        x = np.arange(12, dtype=np.float64).reshape(2, 6) + 1.0
-        v = encode_batch(params, x)
-        want = x / np.linalg.norm(x, axis=1, keepdims=True)
-        assert np.allclose(v, want, atol=1e-12)
+    def test_normalize_rows(self):
+        x = np.arange(12, dtype=np.float64).reshape(2, 6) - 3.0
+        v, norms = normalize_rows(x)
+        assert np.array_equal(norms, np.linalg.norm(x, axis=1))
+        assert np.array_equal(v, x / np.linalg.norm(x, axis=1, keepdims=True))
 
 
 class TestBackward:
@@ -79,8 +76,9 @@ class TestBackward:
         return float((v * target).sum()), cache
 
     def test_parameter_gradients_match_fd(self, rng):
-        # every parameter tensor, hidden and linear mode
-        for d_h in (5, 0):
+        # every parameter tensor; not at d_h = 1, where (with b2 = 0) the
+        # output is constant and the W1 difference is noise
+        for d_h in (5, 2):
             params = EncoderParams.random_init(6, d_h, 4, rng)
             x = rng.standard_normal((3, 6))
             target = rng.standard_normal((3, 4))
@@ -148,6 +146,20 @@ class TestAugment:
         assert np.array_equal(a, b)
 
 
+def _with_w2(w2):
+    """An encoder of output weight w2 over a hidden layer W1 = I."""
+    d_h = w2.shape[1]
+    return EncoderParams(W1=np.eye(d_h), b1=np.zeros(d_h), W2=w2,
+                         b2=np.zeros(len(w2)))
+
+
+def _grads(params, g_w2):
+    """Gradient g_w2 on W2 and zero on every other tensor."""
+    grads = {name: np.zeros_like(p) for name, p in params.tensors()}
+    grads["W2"] = g_w2
+    return grads
+
+
 class TestAdam:
     def test_first_step_closed_form(self):
         # with zero moments the bias corrections cancel exactly:
@@ -155,9 +167,9 @@ class TestAdam:
         lr, wd, eps = 0.01, 0.1, 1e-8
         p0 = np.array([[1.0, -2.0, 0.5]])
         g = np.array([[0.3, -0.2, 0.0]])
-        params = EncoderParams(W1=None, b1=None, W2=p0.copy(), b2=np.zeros(1))
+        params = _with_w2(p0.copy())
         state = OptimizerState.for_params(params, lr=lr, weight_decay=wd)
-        adam_step(params, {"W2": g, "b2": np.zeros(1)}, state)
+        adam_step(params, _grads(params, g), state)
         want = p0 - lr * g / (np.abs(g) + eps)
         want -= lr * wd * want
         assert np.allclose(params.W2, want, atol=1e-15)
@@ -166,11 +178,11 @@ class TestAdam:
     def test_two_steps_closed_form(self):
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
         p = np.array([[2.0]])
-        params = EncoderParams(W1=None, b1=None, W2=p.copy(), b2=np.zeros(1))
+        params = _with_w2(p.copy())
         state = OptimizerState.for_params(params, lr=lr)
         g1, g2 = np.array([[0.4]]), np.array([[-0.1]])
-        adam_step(params, {"W2": g1, "b2": np.zeros(1)}, state)
-        adam_step(params, {"W2": g2, "b2": np.zeros(1)}, state)
+        adam_step(params, _grads(params, g1), state)
+        adam_step(params, _grads(params, g2), state)
         m = (1 - b1) * g1
         v = (1 - b2) * g1 ** 2
         p_ref = p - lr * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
@@ -181,12 +193,10 @@ class TestAdam:
 
     def test_quadratic_bowl_convergence(self, rng):
         target = rng.standard_normal((3, 4))
-        params = EncoderParams(W1=None, b1=None,
-                               W2=np.zeros((3, 4)), b2=np.zeros(3))
+        params = _with_w2(np.zeros((3, 4)))
         state = OptimizerState.for_params(params, lr=0.05)
         for _ in range(600):
-            adam_step(params, {"W2": params.W2 - target, "b2": np.zeros(3)},
-                      state)
+            adam_step(params, _grads(params, params.W2 - target), state)
         assert np.abs(params.W2 - target).max() < 1e-3
 
     def test_shape_mismatch_rejected(self, rng):
@@ -198,10 +208,9 @@ class TestAdam:
             adam_step(params, grads, state)
 
     def test_weight_decay_shrinks_without_gradient(self):
-        params = EncoderParams(W1=None, b1=None, W2=np.ones((2, 2)),
-                               b2=np.zeros(2))
+        params = _with_w2(np.ones((2, 2)))
         state = OptimizerState.for_params(params, lr=0.1, weight_decay=0.5)
-        adam_step(params, {"W2": np.zeros((2, 2)), "b2": np.zeros(2)}, state)
+        adam_step(params, _grads(params, np.zeros((2, 2))), state)
         # zero gradient: the main update is 0/(0+eps) = 0, decay remains
         assert np.allclose(params.W2, np.ones((2, 2)) * (1 - 0.1 * 0.5))
 
@@ -234,14 +243,6 @@ class TestCheckpoint:
         for (n1, t1), (n2, t2) in zip(params.tensors(), back.tensors()):
             assert n1 == n2
             assert np.array_equal(t1, t2)
-
-    def test_round_trip_linear(self, rng, tmp_path):
-        params = EncoderParams.random_init(6, 0, 4, rng)
-        path = tmp_path / "enc.mclp"
-        save_checkpoint(params, path)
-        back = load_checkpoint(path)
-        assert back.W1 is None
-        assert np.array_equal(back.W2, params.W2)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.mclp"
@@ -279,11 +280,13 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("dims", [(0, 3, 2), (4, 3, 0), (0, 0, 2)])
+    @pytest.mark.parametrize("dims", [(0, 3, 2), (4, 3, 0), (0, 0, 2),
+                                      (4, 0, 2)])
     def test_zero_input_or_embedding_width_rejected(self, tmp_path, dims):
         path = tmp_path / "x.mclp"
         path.write_bytes(struct.pack("<4sHIII", b"MCLP", 2, *dims))
-        with pytest.raises(DimensionMismatchError, match="zero d_raw or d_emb"):
+        with pytest.raises(DimensionMismatchError,
+                           match="zero d_raw, d_h or d_emb"):
             load_checkpoint(path)
 
     def test_shapes_must_chain(self, rng, tmp_path):
@@ -292,6 +295,14 @@ class TestCheckpoint:
         params.b1 = np.zeros(params.b1.size + 1)
         path = tmp_path / "x.mclp"
         with pytest.raises(ValueError, match="do not chain"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
+    def test_missing_hidden_layer_rejected(self, rng, tmp_path):
+        params = _params(rng)
+        params.W1 = params.b1 = None
+        path = tmp_path / "x.mclp"
+        with pytest.raises(ValueError, match="needs all of W1, b1, W2 and b2"):
             save_checkpoint(params, path)
         assert not path.exists()
 
@@ -305,7 +316,7 @@ class TestCheckpoint:
         with pytest.raises(FeatureFileError, match="non-finite"):
             load_checkpoint(path)
 
-    @given(seed=st.integers(0, 10_000), d_h=st.sampled_from([0, 3, 8]))
+    @given(seed=st.integers(0, 10_000), d_h=st.sampled_from([1, 3, 8]))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_bitwise_property(self, tmp_path_factory, seed, d_h):
         rng = np.random.default_rng(seed)

@@ -52,7 +52,7 @@ class TestTrainConfig:
         ("tau", 0.0), ("margin", -0.1), ("eps", -1.0), ("min_pts", 0),
         ("k_neighbors", 0), ("min_cluster_fraction", 1.5),
         ("holdout_fraction", 1.0), ("d_emb", 0), ("d_hidden", -1),
-        ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
+        ("d_hidden", 0), ("lr", 0.0), ("lr", -1.0), ("lr", float("nan")),
         ("weight_decay", -1e-4), ("lambda_tri", float("inf")),
         ("tau", float("nan")), ("eps", 1.0), ("eps", 1.5),
         ("lr", "abc"), ("lr", True), ("margin", None), ("epochs", 30.0),
@@ -240,7 +240,7 @@ class TestPhase1:
 class TestPhase2:
     def _setup(self, rng, k=3, d=6):
         bank = PrototypeBank(unit_rows(rng, k, d))
-        params = EncoderParams.random_init(d, 0, d, rng)
+        params = EncoderParams.random_init(d, 8, d, rng)
         opt = OptimizerState.for_params(params, lr=1e-3)
         return bank, params, opt
 
@@ -268,7 +268,7 @@ class TestPhase2:
     def test_single_prototype_skips_triplet_with_warning(self, rng):
         cfg = _fast_config(p2_identities=2, i2_instances=2)
         bank = PrototypeBank(unit_rows(rng, 1, 6))
-        params = EncoderParams.random_init(6, 0, 6, rng)
+        params = EncoderParams.random_init(6, 8, 6, rng)
         opt = OptimizerState.for_params(params, lr=1e-3)
         feats = rng.standard_normal((8, 6))
         with pytest.warns(UserWarning, match="single prototype"):
