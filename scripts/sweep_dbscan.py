@@ -22,18 +22,27 @@ from mcl.metrics import clustering_quality
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False)
-    ap.add_argument("--num-identities", type=int, default=50)
-    ap.add_argument("--samples-per-identity", type=int, default=20)
-    ap.add_argument("--intra-class-sigma", type=float, default=0.15)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--k-neighbors", type=int, default=30)
-    # TrainConfig's rules, checked as the flags are parsed, before the pass
+    # GenSpec's and TrainConfig's rules, checked as the flags are parsed,
+    # before the pool is generated
+    rule = GenSpec.RULES
+    ap.add_argument("--num-identities", default=50,
+                    type=ruled(int, rule["num_identities"]))
+    ap.add_argument("--samples-per-identity", default=20,
+                    type=ruled(int, rule["samples_per_identity"]))
+    ap.add_argument("--intra-class-sigma", default=0.15,
+                    type=ruled(float, rule["intra_class_sigma"]))
+    ap.add_argument("--seed", type=ruled(int, rule["seed"]), default=1)
+    ap.add_argument("--k-neighbors", type=ruled(int, ">= 1"), default=30)
     ap.add_argument("--eps", type=comma_list(ruled(float, "in [0, 1)")),
                     default="0.4,0.5,0.6,0.7,0.8,0.9")
     ap.add_argument("--min-pts", type=comma_list(ruled(int, ">= 1")),
                     default="2,4,6")
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
+    n = args.num_identities * args.samples_per_identity
+    if args.k_neighbors >= n:
+        ap.error(f"--k-neighbors must be below the pool's {n} points, "
+                 f"got {args.k_neighbors}")
 
     spec = GenSpec(num_identities=args.num_identities,
                    samples_per_identity=args.samples_per_identity,

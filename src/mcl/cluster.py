@@ -33,6 +33,8 @@ def dbscan(d: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"d must be a square (n, n) array, got {d.shape}")
     if not eps >= 0:  # NaN too: it compares false with every distance
         raise ValueError(f"eps must be >= 0, got {eps}")
     if min_pts < 1:

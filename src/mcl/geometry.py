@@ -10,11 +10,12 @@ The row blocks of a clustering pass (fused cosine + kNN, and the Jaccard fill)
 run on up to one worker thread per CPU in the process's affinity mask; the
 numpy calls they make release the GIL, and each block writes only its own
 rows, so the results are bitwise the same for any worker count. A pass
-computes its cosine rows and Jaccard rows in the result matrix itself, so each
-worker holds only about `_ROW_BLOCK` x n x 2 bytes in flight, the kNN
-selection's sampled columns (8 bytes per `_STRIDE` entries) and its candidate
-mask (1 byte per entry). scipy.sparse loads inside the functions that use it,
-so `import mcl` loads no scipy.
+computes its cosine rows in float32, in a `_ROW_BLOCK` x n block per worker
+(5 MB at n = 10 000), and proves each row's kNN set equal to float64's by a
+rounding-gap test. The selection adds every `_STRIDE`-th column (4 bytes per
+8 entries) and a 1-byte candidate mask. The float64 result is allocated after
+the lists, so the Jaccard fill is its first touch. scipy.sparse loads inside
+the functions that use it, so `import mcl` loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 # rows per block. Keep it small: glibc keeps each worker thread's freed blocks
 # in that thread's own malloc arena, so 256 rows already cost 7 MiB more peak
-# RSS than 128 on a benchmark training run, for no measurable speed. It also
-# pins results: OpenBLAS dgemm rounds some dot products differently for 64-,
-# 128- and 256-row blocks, so another height moves the cosine rows' last bits
+# RSS than 128 on a benchmark training run, for no measurable speed. Results
+# do not depend on it: the kNN sets are proven, and only ties within float64
+# rounding (duplicated rows) follow a float64 block of this height
 _ROW_BLOCK = 128
 # the kNN selection samples every _STRIDE-th column of a row for its threshold
 _STRIDE = 8
@@ -102,45 +103,68 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> np.ndarray:
     return d
 
 
-def _knn_by_blocks(n: int, k: int, distance_rows) -> np.ndarray:
+def _float32_bound(dim: int) -> float:
+    """delta >= |D32 - D64| between float32 and any float64 cosine distance
+    1 - x . y of rows in dim dims, norms within 1e-6 of 1. With u = 2^-24,
+    float32 inputs move x . y by (2u + u^2) |x||y|, a float32 dot adds dim u
+    / (1 - dim u) |x||y| in any order, 1 - s rounds by 2u, and float64 errs
+    by under 2^-28 of that. With g = (dim + 4) u, 1.0001 g / (1 - 3 g) covers
+    the sum, the norms and second-order terms: 4.1e-6 at dim = 64."""
+    g = (dim + 4) * 2.0 ** -24
+    return 1.0001 * g / (1.0 - 3.0 * g) if 3.0 * g < 1.0 else np.inf
+
+
+def _knn_by_blocks(n: int, k: int, distance_rows, delta: float = 0.0,
+                   resolve=None) -> np.ndarray:
     """kNN lists over n points, selected in `_map_row_blocks` row blocks.
 
-    `distance_rows(lo, hi)` returns a (hi - lo, n) float64 block of the
-    distances from rows lo..hi-1 to every point. The block is overwritten
-    here, so it must be a fresh array or a view of rows the caller owns and
-    no longer needs. It is called on worker threads, so it must not touch
-    shared state beyond its own rows.
-    Ordered by ascending distance; exact ties resolved by lower index. Each
-    row's threshold t is the q-th smallest entry of every `_STRIDE`-th
-    column, q = (k + 1) // 4 + 6, and only the entries <= t, about 8q of
-    them, are sorted. Once there are k of them they hold the k nearest
-    exactly, ties at t included; a row with fewer is sorted in full.
+    `distance_rows(lo, hi)` returns the (hi - lo, n) distances from rows
+    lo..hi-1, each within delta of its float64 value, in a block of its own
+    that is overwritten here. `resolve(i, cols, row)` returns row i's k
+    nearest among the ascending cols, which hold them; by default, from the
+    block's row. Both run on worker threads and touch only their own rows.
+    Each row's threshold t is the q-th smallest entry of every `_STRIDE`-th
+    column, q = (k + 1) // 4 + 6, and only the entries <= t, about 8q, are
+    stably sorted. If there are more than k and the (k + 1)-th exceeds the
+    k-th by more than 2 delta, every column left out is farther in float64
+    than all of the first k, which are kept. Other rows are resolved over
+    their candidates if t exceeds the k-th by more than 2 delta, else over
+    every column. Lists follow the block's order: with delta 0, ascending
+    distance, exact ties to the lower index.
     """
-    if k >= n:
-        raise ValueError(f"k={k} must be < n={n}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k < n:
+        raise ValueError(f"k must be in [1, n), got k={k}, n={n}")
     out = np.empty((n, k), dtype=np.int64)
     ar = np.arange(n)
     q = min((k + 1) // 4 + 6, -(-n // _STRIDE))  # clipped to the sample
+    if resolve is None:
+        def resolve(i, cols, row):
+            return cols[np.argsort(row[cols], kind="stable")[:k]]
 
     def select(lo: int, hi: int) -> None:
         block = distance_rows(lo, hi)
         block[ar[lo:hi] - lo, ar[lo:hi]] = np.inf  # exclude self
-        t = np.partition(block[:, ::_STRIDE], q - 1, axis=1)[:, q - 1:q]
+        t = np.partition(block[:, ::_STRIDE], q - 1, axis=1)[:, q - 1]
         # flat indices keep row-major order, so each row's columns ascend
-        rows, cols = np.divmod(np.flatnonzero(block <= t), n)
+        rows, cols = np.divmod(np.flatnonzero(block <= t[:, None]), n)
         counts = np.bincount(rows, minlength=hi - lo)
-        at = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        starts = np.cumsum(counts) - counts
+        at = np.arange(rows.size) - starts[rows]
         # +inf pads sort after every candidate: the sort is stable
-        vals = np.full((hi - lo, max(k, counts.max())), np.inf)
+        vals = np.full((hi - lo, max(k + 1, counts.max())), np.inf)
         vals[rows, at] = block[rows, cols]
         cand = np.zeros(vals.shape, dtype=np.int64)
         cand[rows, at] = cols
-        order = np.argsort(vals, axis=1, kind="stable")[:, :k]
-        out[lo:hi] = np.take_along_axis(cand, order, axis=1)
-        for r in np.flatnonzero(counts < k):
-            out[lo + r] = np.lexsort((ar, block[r]))[:k]
+        order = np.argsort(vals, axis=1, kind="stable")[:, :k + 1]
+        near = np.take_along_axis(vals, order, axis=1)
+        out[lo:hi] = np.take_along_axis(cand, order[:, :k], axis=1)
+        # a row short of k + 1 candidates keeps gap 0: its pads make inf - inf
+        gap = np.subtract(near[:, k], near[:, k - 1], out=np.zeros(hi - lo),
+                          where=counts > k)
+        for r in np.flatnonzero(gap <= 2.0 * delta):
+            own = counts[r] >= k and t[r] - near[r, k - 1] > 2.0 * delta
+            pick = cols[starts[r]:starts[r] + counts[r]] if own else ar
+            out[lo + r] = resolve(lo + r, pick, block[r])
 
     _map_row_blocks(select, n)
     return out
@@ -152,6 +176,8 @@ def knn(d: np.ndarray, k: int) -> np.ndarray:
     Ordered by ascending distance; exact ties resolved by lower index. A
     non-finite d is refused: self is excluded by writing +inf on the diagonal.
     """
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"d must be a square (n, n) array, got {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("non-finite distances")
     return _knn_by_blocks(d.shape[0], k, lambda lo, hi: d[lo:hi].copy())
@@ -208,26 +234,46 @@ def jaccard_distance(reciprocal, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
+    """kNN lists of the unit rows e from float32 blocks 1 - e32 @ e32.T.
+
+    A row the gap test leaves open is re-scored by one float64 product. Two
+    float64 evaluations differ by at most 2 (d + 2) 2^-53, so a gap of twice
+    that settles its set; closer ties (duplicated rows) break by the rounding
+    of the row's float64 `_ROW_BLOCK`-row product, as in a float64 pass.
+    """
+    e32 = e.astype(np.float32)
+    tie = 2.0001 * (e.shape[1] + 2) * 2.0 ** -52
+
+    def cosine_rows(lo: int, hi: int) -> np.ndarray:
+        block = e32[lo:hi] @ e32.T
+        return np.subtract(1.0, block, out=block)
+
+    def resolve(i: int, cols: np.ndarray, _) -> np.ndarray:
+        x = 1.0 - e[cols] @ e[i]
+        x[cols == i] = np.inf
+        order = np.argsort(x, kind="stable")
+        if x[order[k]] - x[order[k - 1]] > tie:
+            return cols[order[:k]]
+        row = 1.0 - (e[i - i % _ROW_BLOCK:][:_ROW_BLOCK] @ e.T)[i % _ROW_BLOCK]
+        row[i] = np.inf
+        return np.argsort(row, kind="stable")[:k]
+
+    return _knn_by_blocks(e.shape[0], k, cosine_rows,
+                          _float32_bound(e.shape[1]), resolve)
+
+
 def clustering_distance(embeddings: np.ndarray, k: int) -> np.ndarray:
     """Full cosine -> kNN -> k-reciprocal -> Jaccard pipeline.
 
-    The (n, n) float64 result is the only n^2 buffer of the pass, allocated
-    first. Cosine distances are computed in `_ROW_BLOCK`-row blocks straight
-    into its rows, and each block is reduced to kNN lists at once; the
-    Jaccard fill then overwrites every row. The n x n cosine matrix is never
-    held, but the counter still gets n^2 for its entries. The kNN selection
-    is `knn`'s. A row block's product can round a dot product differently
-    from `pairwise_cosine_distance`'s symmetric one in the last bits, which
-    could only reorder neighbours whose distances agree to those bits.
+    The kNN lists come from `_cosine_knn`'s float32 row blocks, one per
+    worker at a time, so the n x n cosine matrix is never held, but the
+    counter still gets n^2 for its entries. Each set is proven equal to the
+    float64 set within delta = `_float32_bound(d)`, about (d + 4) 2^-24, or
+    re-scored in float64. The (n, n) float64 result, allocated after the
+    lists, is the only n^2 buffer of the pass.
     """
     e = _unit_rows(embeddings)
-    n = e.shape[0]
-    d = np.empty((n, n), dtype=np.float64)
-
-    def cosine_rows(lo: int, hi: int) -> np.ndarray:
-        block = np.matmul(e[lo:hi], e.T, out=d[lo:hi])
-        return np.subtract(1.0, block, out=block)  # bitwise -x + 1
-
-    lists = _knn_by_blocks(n, k, cosine_rows)
-    ENTRY_COUNTER.add(n * n)
-    return jaccard_distance(k_reciprocal_sets(lists), out=d)
+    lists = _cosine_knn(e, k)
+    ENTRY_COUNTER.add(e.shape[0] ** 2)
+    return jaccard_distance(k_reciprocal_sets(lists))

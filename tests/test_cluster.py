@@ -1,5 +1,7 @@
 """Deterministic density clustering against the O(n^3) closure reference."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,14 @@ class TestStructure:
         # even coincident points outliers
         with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
             dbscan(np.zeros((5, 5)), eps=float("nan"), min_pts=1)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (4,), (3, 5)])
+    def test_non_square_input_is_refused(self, shape):
+        # a (5, 3) array used to give five labels, a (4,) one four, and a
+        # (3, 5) one an error from scipy deep inside the pass
+        message = re.escape(f"square (n, n) array, got {shape}")
+        with pytest.raises(ValueError, match=message):
+            dbscan(np.zeros(shape), eps=0.5, min_pts=1)
 
     def test_members_accessor(self):
         a = ClusterAssignment(labels=np.array([0, 1, 0, -1, 1]), num_clusters=2)

@@ -1,6 +1,8 @@
 """Distance pipeline against brute-force references."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +104,12 @@ class TestKnn:
         d[0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             knn(d, 3)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (4,)])
+    def test_non_square_distances_rejected(self, shape):
+        message = re.escape(f"square (n, n) array, got {shape}")
+        with pytest.raises(ValueError, match=message):
+            knn(np.zeros(shape), 1)
 
     def test_k_bounds(self, rng):
         dm = pairwise_cosine_distance(_unit(rng, 6, 4))
@@ -226,9 +234,9 @@ class TestPipeline:
             clustering_distance(e, k=0)
 
     def test_peak_memory_is_one_matrix_plus_a_row_block(self):
-        # the Jaccard result is the only n x n matrix, and its rows hold the
-        # cosine blocks; each worker's kNN selection adds about 2 x 128 bytes
-        # per column, its candidate mask and sampled columns: 32 / n of one
+        # the Jaccard result is the only n x n matrix, allocated after the
+        # kNN lists; each worker adds its float32 cosine block, its candidate
+        # mask and sampled columns, about 5.5 x 128 bytes per column
         pool = generate_pool(GenSpec(num_identities=100, samples_per_identity=30,
                                      d_raw=64, intra_class_sigma=0.15, seed=1))
         x = pool.features.astype(np.float64)
@@ -292,3 +300,98 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="block failed"):
             geometry._map_row_blocks(fail_in_third_block,
                                      4 * geometry._ROW_BLOCK)
+
+
+def _aligned_rows(rng, n, dim):
+    """Unit rows (within 1e-6) whose every entry rounds away from zero to
+    float32 by almost half a float32 spacing, so a row's dot product with
+    itself, or with any row of the same signs, rounds up in every term."""
+    v = _unit(rng, n, dim)
+    v32 = v.astype(np.float32)
+    half = np.spacing(np.abs(v32)).astype(np.float64) / 2
+    # spacing below a power of two is half as wide: stay inside it
+    return v32.astype(np.float64) - np.sign(v) * 0.49 * half
+
+
+class TestFloat32Gap:
+    @pytest.mark.parametrize("dim", [2, 6, 64, 128])
+    def test_float32_distances_within_the_bound(self, rng, dim):
+        delta = geometry._float32_bound(dim)
+        for e in (_unit(rng, 200, dim), _aligned_rows(rng, 200, dim)):
+            geometry._unit_rows(e)  # the rows the bound is stated for
+            e32 = e.astype(np.float32)
+            d64 = (1.0 - e @ e.T, 1.0 - (e[:, None] * e[None]).sum(axis=2))
+            d32 = (np.subtract(1.0, e32 @ e32.T),
+                   np.vstack([1.0 - e32[lo:lo + 64] @ e32.T
+                              for lo in range(0, 200, 64)]),
+                   np.vstack([1.0 - e32[i] @ e32.T for i in range(200)]))
+            err = max(np.abs(a.astype(np.float64) - b).max()
+                      for a in d32 for b in d64)
+            assert err <= delta
+        # the aligned rows realise the input rounding on the diagonal: each
+        # of the two float32 roundings there moves x . x by about u / 2
+        diag = 1.0 - np.einsum("ij,ij->i", e32, e32, dtype=np.float64)
+        assert np.abs(diag - (1.0 - (e * e).sum(axis=1))).max() > 2.0 ** -25
+
+    @pytest.mark.parametrize("dim", [6, 64])
+    def test_near_tie_at_the_kth_neighbour_gives_the_float64_set(self, rng,
+                                                                dim):
+        # row 0's k-th and (k + 1)-th neighbours lie 1e-9 apart, far inside
+        # 2 delta, and the nearer one has the higher index
+        k, n = 5, 200
+        x = np.zeros(dim)
+        x[0] = 1.0
+        w = _unit(rng, n, dim)
+        w[:, 0] = 0.0
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        dist = np.full(n, 1.5)  # the rest sit in the far hemisphere
+        dist[1:k] = 0.01 * np.arange(1, k)
+        dist[k], dist[n - 1] = 0.05 + 1e-9, 0.05
+        cos = 1.0 - dist
+        e = cos[:, None] * x + np.sqrt(1.0 - cos ** 2)[:, None] * w
+        e[0] = x
+        d = pairwise_cosine_distance(e)
+        assert 0.0 < d[0, k] - d[0, n - 1] < 2 * geometry._float32_bound(dim)
+        got = geometry._cosine_knn(e, k)
+        want = knn(d, k)
+        assert set(got[0]) == set(range(1, k)) | {n - 1}
+        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+    def test_short_and_open_rows_raise_no_warning(self, rng, monkeypatch):
+        # every 8th row, the sampled columns, sits in one tight group, so a
+        # group row's threshold admits fewer than k candidates; duplicated
+        # rows put exact ties at the k-th neighbour
+        n, k = 400, 30
+        e = _unit(rng, n, 6)
+        e[::geometry._STRIDE] = _unit(rng, 1, 6) + 0.01 * rng.standard_normal(
+            (n // geometry._STRIDE, 6))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        e[200:260] = e[rng.integers(0, 200, size=60)]
+        want = jaccard_distance(
+            k_reciprocal_sets(knn(pairwise_cosine_distance(e), k)))
+        sizes = []
+        knn_by_blocks = geometry._knn_by_blocks
+
+        def counted(n, k, rows, delta, resolve):
+            def record(i, cols, row):
+                sizes.append(cols.size)
+                return resolve(i, cols, row)
+            return knn_by_blocks(n, k, rows, delta, record)
+
+        monkeypatch.setattr(geometry, "_knn_by_blocks", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = clustering_distance(e, k=k)
+        assert n in sizes and min(sizes) < n  # full rows and candidate rows
+        assert np.array_equal(got, want)
+
+    def test_lists_do_not_depend_on_block_height(self, rng, monkeypatch):
+        e = _unit(rng, 1030, 6)
+        got = []
+        for height in (64, 128, 256):
+            monkeypatch.setattr(geometry, "_ROW_BLOCK", height)
+            got.append((np.sort(geometry._cosine_knn(e, 30), axis=1),
+                        clustering_distance(e, k=30)))
+        for lists, entries in got[1:]:
+            assert np.array_equal(lists, got[0][0])
+            assert np.array_equal(entries, got[0][1])

@@ -73,6 +73,13 @@ def test_bad_list_item_is_usage_error(script, args):
     ("profile_scaling.py", ["--d", "0"], "must be >= 1"),
     ("profile_scaling.py", ["--sizes", "300", "--fractions", "0.1"],
      "the smallest subset has 30 points"),
+    ("sweep_dbscan.py", ["--k-neighbors", "0"], "must be >= 1"),
+    ("sweep_dbscan.py", ["--num-identities", "10", "--samples-per-identity",
+                         "2", "--k-neighbors", "25"],
+     "--k-neighbors must be below the pool's 20 points, got 25"),
+    ("sweep_dbscan.py", ["--num-identities", "0"], "must be >= 2"),
+    ("sweep_dbscan.py", ["--samples-per-identity", "1"], "must be >= 2"),
+    ("sweep_dbscan.py", ["--intra-class-sigma", "-1"], "must be >= 0"),
 ])
 def test_out_of_range_value_is_usage_error(script, args, message):
     # refused as the flags are parsed, not by a traceback after the work
