@@ -29,7 +29,7 @@ def main(argv=None):
                     default="1.0,0.5,0.25")
     ap.add_argument("--d", type=ruled(int, ">= 1"), default=64)
     ap.add_argument("--repeats", type=ruled(int, ">= 1"), default=3)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=ruled(int, ">= 0"), default=0)
     ap.add_argument("-o", "--csv", default=None)
     args = ap.parse_args(argv)
     smallest = round(min(args.sizes) * min(args.fractions))

@@ -6,16 +6,15 @@ distance entries evaluated adds n^2 to the module's entry counter, whether or
 not the entries are ever stored together; the cost profiler reads it to
 reproduce the quadratic cost scaling of a clustering pass.
 
-The row blocks of a clustering pass (fused cosine + kNN, and the Jaccard fill)
-run on up to one worker thread per CPU in the process's affinity mask; the
-numpy calls they make release the GIL, and each block writes only its own
-rows, so the results are bitwise the same for any worker count. A pass
-computes its cosine rows in float32, in a `_ROW_BLOCK` x n block per worker
-(5 MB at n = 10 000), and proves each row's kNN set equal to float64's by a
-rounding-gap test. The selection adds every `_STRIDE`-th column (4 bytes per
-8 entries) and a 1-byte candidate mask. The float64 result is allocated after
-the lists, so the Jaccard fill is its first touch. scipy.sparse loads inside
-the functions that use it, so `import mcl` loads no scipy.
+A clustering pass runs in row blocks, the fused cosine + kNN selection of
+`_cosine_knn` and then the Jaccard fill, on up to one worker thread per CPU in
+the process's affinity mask; the numpy calls release the GIL, and each block
+writes only its own rows, so results are bitwise the same for any worker
+count. The selection holds a float32 `_ROW_BLOCK` x n block per worker (5 MB
+at n = 10 000), every `_STRIDE`-th column and a 1-byte candidate mask; the
+float64 result is allocated after the lists. `pairwise_cosine_distance` and
+`knn` are plain float64 references. scipy.sparse loads inside the functions
+that use it, so `import mcl` loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ import os
 import numpy as np
 
 # rows per block. Keep it small: glibc keeps each worker thread's freed blocks
-# in that thread's own malloc arena, so 256 rows already cost 7 MiB more peak
-# RSS than 128 on a benchmark training run, for no measurable speed. Results
-# do not depend on it: the kNN sets are proven, and only ties within float64
-# rounding (duplicated rows) follow a float64 block of this height
+# in that thread's own malloc arena, so 256 rows cost 7 MiB more peak RSS than
+# 128 on a benchmark training run, for no speed. Only float64 near-ties
+# (duplicated rows) depend on it: `_rescore` breaks them by a block this high
 _ROW_BLOCK = 128
 # the kNN selection samples every _STRIDE-th column of a row for its threshold
 _STRIDE = 8
@@ -91,9 +89,14 @@ def _unit_rows(embeddings: np.ndarray) -> np.ndarray:
 
 
 def pairwise_cosine_distance(embeddings: np.ndarray) -> np.ndarray:
-    """1 - dot(e_i, e_j) over unit rows. Rows must be unit-norm within 1e-6."""
+    """1 - dot(e_i, e_j) over unit rows. Rows must be unit-norm within 1e-6.
+
+    One symmetric product, as row blocks of a gemm are not exactly symmetric.
+    It can give two identical rows distances to a third row one ulp apart, so
+    `knn` on it breaks such near-ties by value, not by index: it is not the
+    tie reference for `clustering_distance`.
+    """
     e = _unit_rows(embeddings)
-    # one symmetric product: row blocks of a gemm are not exactly symmetric
     d = e @ e.T
     # in place: a second n x n temporary would double peak memory
     d *= -1.0
@@ -114,73 +117,20 @@ def _float32_bound(dim: int) -> float:
     return 1.0001 * g / (1.0 - 3.0 * g) if 3.0 * g < 1.0 else np.inf
 
 
-def _knn_by_blocks(n: int, k: int, distance_rows, delta: float = 0.0,
-                   resolve=None) -> np.ndarray:
-    """kNN lists over n points, selected in `_map_row_blocks` row blocks.
-
-    `distance_rows(lo, hi)` returns the (hi - lo, n) distances from rows
-    lo..hi-1, each within delta of its float64 value, in a block of its own
-    that is overwritten here. `resolve(i, cols, row)` returns row i's k
-    nearest among the ascending cols, which hold them; by default, from the
-    block's row. Both run on worker threads and touch only their own rows.
-    Each row's threshold t is the q-th smallest entry of every `_STRIDE`-th
-    column, q = (k + 1) // 4 + 6, and only the entries <= t, about 8q, are
-    stably sorted. If there are more than k and the (k + 1)-th exceeds the
-    k-th by more than 2 delta, every column left out is farther in float64
-    than all of the first k, which are kept. Other rows are resolved over
-    their candidates if t exceeds the k-th by more than 2 delta, else over
-    every column. Lists follow the block's order: with delta 0, ascending
-    distance, exact ties to the lower index.
-    """
-    if not 1 <= k < n:
-        raise ValueError(f"k must be in [1, n), got k={k}, n={n}")
-    out = np.empty((n, k), dtype=np.int64)
-    ar = np.arange(n)
-    q = min((k + 1) // 4 + 6, -(-n // _STRIDE))  # clipped to the sample
-    if resolve is None:
-        def resolve(i, cols, row):
-            return cols[np.argsort(row[cols], kind="stable")[:k]]
-
-    def select(lo: int, hi: int) -> None:
-        block = distance_rows(lo, hi)
-        block[ar[lo:hi] - lo, ar[lo:hi]] = np.inf  # exclude self
-        t = np.partition(block[:, ::_STRIDE], q - 1, axis=1)[:, q - 1]
-        # flat indices keep row-major order, so each row's columns ascend
-        rows, cols = np.divmod(np.flatnonzero(block <= t[:, None]), n)
-        counts = np.bincount(rows, minlength=hi - lo)
-        starts = np.cumsum(counts) - counts
-        at = np.arange(rows.size) - starts[rows]
-        # +inf pads sort after every candidate: the sort is stable
-        vals = np.full((hi - lo, max(k + 1, counts.max())), np.inf)
-        vals[rows, at] = block[rows, cols]
-        cand = np.zeros(vals.shape, dtype=np.int64)
-        cand[rows, at] = cols
-        order = np.argsort(vals, axis=1, kind="stable")[:, :k + 1]
-        near = np.take_along_axis(vals, order, axis=1)
-        out[lo:hi] = np.take_along_axis(cand, order[:, :k], axis=1)
-        # a row short of k + 1 candidates keeps gap 0: its pads make inf - inf
-        gap = np.subtract(near[:, k], near[:, k - 1], out=np.zeros(hi - lo),
-                          where=counts > k)
-        for r in np.flatnonzero(gap <= 2.0 * delta):
-            own = counts[r] >= k and t[r] - near[r, k - 1] > 2.0 * delta
-            pick = cols[starts[r]:starts[r] + counts[r]] if own else ar
-            out[lo + r] = resolve(lo + r, pick, block[r])
-
-    _map_row_blocks(select, n)
-    return out
-
-
 def knn(d: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest neighbors per row, self excluded.
-
-    Ordered by ascending distance; exact ties resolved by lower index. A
-    non-finite d is refused: self is excluded by writing +inf on the diagonal.
-    """
+    """Indices of the k nearest neighbors per row, self excluded, by a full
+    stable sort: ascending distance, exact ties to the lower index. A
+    non-finite d is refused, as self is excluded by a +inf diagonal."""
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"d must be a square (n, n) array, got {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("non-finite distances")
-    return _knn_by_blocks(d.shape[0], k, lambda lo, hi: d[lo:hi].copy())
+    n = d.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"k must be in [1, n), got k={k}, n={n}")
+    d = d.copy()
+    np.fill_diagonal(d, np.inf)
+    return np.argsort(d, axis=1, kind="stable")[:, :k].copy()
 
 
 def k_reciprocal_sets(knn_idx: np.ndarray):
@@ -197,24 +147,18 @@ def k_reciprocal_sets(knn_idx: np.ndarray):
     return r
 
 
-def jaccard_distance(reciprocal, out: np.ndarray | None = None) -> np.ndarray:
+def jaccard_distance(reciprocal) -> np.ndarray:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
 
     S(i) is row i of the `k_reciprocal_sets` adjacency plus {i} itself, so no
     set is empty and the diagonal is 0. Each `_map_row_blocks` row range
     counts its own intersections as one sparse product (sets are tiny) and
     fills its rows of the dense result from that product's CSR rows, so no
-    whole-pass product is ever held. A given `out`, a C-contiguous (n, n)
-    float64 array whose contents are ignored, receives the result and is
-    returned.
+    whole-pass product is ever held.
     """
     import scipy.sparse as sp
     n = reciprocal.shape[0]
-    if out is None:
-        out = np.empty((n, n), dtype=np.float64)
-    elif (out.shape != (n, n) or out.dtype != np.float64
-          or not out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous ({n}, {n}) float64 array")
+    out = np.empty((n, n), dtype=np.float64)
     s = reciprocal.astype(np.int32)  # counts <= n; halves the product's data
     s = (s + sp.identity(n, dtype=np.int32, format="csr")).tocsr()
     s.data[:] = 1
@@ -234,44 +178,79 @@ def jaccard_distance(reciprocal, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
-    """kNN lists of the unit rows e from float32 blocks 1 - e32 @ e32.T.
-
-    A row the gap test leaves open is re-scored by one float64 product. Two
+def _rescore(e: np.ndarray, i: int, cols: np.ndarray, k: int) -> np.ndarray:
+    """Row i's k nearest among the ascending cols, which hold them. Two
     float64 evaluations differ by at most 2 (d + 2) 2^-53, so a gap of twice
-    that settles its set; closer ties (duplicated rows) break by the rounding
-    of the row's float64 `_ROW_BLOCK`-row product, as in a float64 pass.
+    that in one float64 product settles the set; closer ties (duplicated
+    rows) follow the row's float64 `_ROW_BLOCK`-row product, as in a float64
+    pass, then the lower index."""
+    x = 1.0 - e[cols] @ e[i]
+    x[cols == i] = np.inf
+    order = np.argsort(x, kind="stable")
+    if x[order[k]] - x[order[k - 1]] > 2.0001 * (e.shape[1] + 2) * 2.0 ** -52:
+        return cols[order[:k]]
+    row = 1.0 - (e[i - i % _ROW_BLOCK:][:_ROW_BLOCK] @ e.T)[i % _ROW_BLOCK]
+    row[i] = np.inf
+    return np.argsort(row, kind="stable")[:k]
+
+
+def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
+    """kNN lists of the unit rows e, selected in `_map_row_blocks` row blocks.
+
+    Each block is 1 - e32 @ e32.T in float32, every entry within delta =
+    `_float32_bound(d)` of its float64 value. A row's threshold t is the q-th
+    smallest entry of every `_STRIDE`-th column, q = (k + 1) // 4 + 6, and
+    only the entries <= t, about 8q, are stably sorted. If there are more
+    than k and the (k + 1)-th exceeds the k-th by more than 2 delta, every
+    column left out is farther in float64 than all of the first k, which are
+    kept. Any other row goes to `_rescore`: over its candidates if t exceeds
+    the k-th by more than 2 delta, else over every column. A list's set is
+    the float64 pass's; its order follows the float32 values.
     """
+    n = e.shape[0]
+    if not 1 <= k < n:
+        raise ValueError(f"k must be in [1, n), got k={k}, n={n}")
     e32 = e.astype(np.float32)
-    tie = 2.0001 * (e.shape[1] + 2) * 2.0 ** -52
+    bound = 2.0 * _float32_bound(e.shape[1])
+    out = np.empty((n, k), dtype=np.int64)
+    ar = np.arange(n)
+    q = min((k + 1) // 4 + 6, -(-n // _STRIDE))  # clipped to the sample
 
-    def cosine_rows(lo: int, hi: int) -> np.ndarray:
+    def select(lo: int, hi: int) -> None:
         block = e32[lo:hi] @ e32.T
-        return np.subtract(1.0, block, out=block)
+        np.subtract(1.0, block, out=block)
+        block[ar[lo:hi] - lo, ar[lo:hi]] = np.inf  # exclude self
+        t = np.partition(block[:, ::_STRIDE], q - 1, axis=1)[:, q - 1]
+        # flat indices keep row-major order, so each row's columns ascend
+        rows, cols = np.divmod(np.flatnonzero(block <= t[:, None]), n)
+        counts = np.bincount(rows, minlength=hi - lo)
+        starts = np.cumsum(counts) - counts
+        at = np.arange(rows.size) - starts[rows]
+        # +inf pads sort after every candidate: the sort is stable
+        vals = np.full((hi - lo, max(k + 1, counts.max())), np.inf)
+        vals[rows, at] = block[rows, cols]
+        cand = np.zeros(vals.shape, dtype=np.int64)
+        cand[rows, at] = cols
+        order = np.argsort(vals, axis=1, kind="stable")[:, :k + 1]
+        near = np.take_along_axis(vals, order, axis=1)
+        out[lo:hi] = np.take_along_axis(cand, order[:, :k], axis=1)
+        # a row short of k + 1 candidates keeps gap 0: its pads make inf - inf
+        gap = np.subtract(near[:, k], near[:, k - 1], out=np.zeros(hi - lo),
+                          where=counts > k)
+        for r in np.flatnonzero(gap <= bound):
+            own = counts[r] >= k and t[r] - near[r, k - 1] > bound
+            pick = cols[starts[r]:starts[r] + counts[r]] if own else ar
+            out[lo + r] = _rescore(e, lo + r, pick, k)
 
-    def resolve(i: int, cols: np.ndarray, _) -> np.ndarray:
-        x = 1.0 - e[cols] @ e[i]
-        x[cols == i] = np.inf
-        order = np.argsort(x, kind="stable")
-        if x[order[k]] - x[order[k - 1]] > tie:
-            return cols[order[:k]]
-        row = 1.0 - (e[i - i % _ROW_BLOCK:][:_ROW_BLOCK] @ e.T)[i % _ROW_BLOCK]
-        row[i] = np.inf
-        return np.argsort(row, kind="stable")[:k]
-
-    return _knn_by_blocks(e.shape[0], k, cosine_rows,
-                          _float32_bound(e.shape[1]), resolve)
+    _map_row_blocks(select, n)
+    return out
 
 
 def clustering_distance(embeddings: np.ndarray, k: int) -> np.ndarray:
     """Full cosine -> kNN -> k-reciprocal -> Jaccard pipeline.
 
-    The kNN lists come from `_cosine_knn`'s float32 row blocks, one per
-    worker at a time, so the n x n cosine matrix is never held, but the
-    counter still gets n^2 for its entries. Each set is proven equal to the
-    float64 set within delta = `_float32_bound(d)`, about (d + 4) 2^-24, or
-    re-scored in float64. The (n, n) float64 result, allocated after the
-    lists, is the only n^2 buffer of the pass.
+    `_cosine_knn` never holds the n x n cosine matrix, but the counter still
+    gets n^2 for its entries; the Jaccard result is the pass's only n^2 buffer.
     """
     e = _unit_rows(embeddings)
     lists = _cosine_knn(e, k)

@@ -27,6 +27,23 @@ def _unit(rng, n, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _grouped(rng, n, d):
+    """Unit rows whose every `_STRIDE`-th row, the sampled columns, sits in
+    one tight group, so a group row's threshold admits fewer than k."""
+    e = _unit(rng, n, d)
+    e[::geometry._STRIDE] = _unit(rng, 1, d) + 0.01 * rng.standard_normal(
+        (-(-n // geometry._STRIDE), d))
+    return e / np.linalg.norm(e, axis=1, keepdims=True)
+
+
+def _block_cosine(e):
+    """1 - e @ e.T from float64 `_ROW_BLOCK`-row products, whose rounding
+    breaks `_cosine_knn`'s near-ties; the one symmetric product of
+    `pairwise_cosine_distance` can order identical rows differently."""
+    h = geometry._ROW_BLOCK
+    return np.vstack([1.0 - e[lo:lo + h] @ e.T for lo in range(0, len(e), h)])
+
+
 class TestCosine:
     def test_matches_direct_formula(self, rng):
         e = _unit(rng, 40, 8)
@@ -76,8 +93,6 @@ class TestKnn:
 
     @pytest.mark.parametrize("k", [1, 30, 100])
     def test_sampled_threshold_matches_full_sort(self, rng, k):
-        # n = 650: five row blocks, the last one partial, and a column sample
-        # of 82 entries, longer than the threshold's rank q
         n = 650
         e = _unit(rng, n, 6)
         raw = rng.integers(0, 4, size=(n, n)).astype(np.float64)
@@ -87,13 +102,27 @@ class TestKnn:
             assert np.array_equal(knn(d, k), knn_full_sort(d, k))
 
     def test_rows_short_of_k_candidates_are_sorted_in_full(self, rng):
-        # every row's nearest points are sampled columns, so its threshold
-        # admits only q < k candidates and the full sort must run
+        # every row's nearest points are every `_STRIDE`-th column
         n = 650
         d = rng.random((n, n)) + 1.0
         d[:, ::geometry._STRIDE] -= 1.0
         for k in (30, 100):
             assert np.array_equal(knn(d, k), knn_full_sort(d, k))
+
+    @pytest.mark.parametrize("rows", ["random", "duplicated", "grouped"])
+    @pytest.mark.parametrize("k", [1, 30, 100])
+    def test_cosine_knn_matches_the_block_product(self, rng, rows, k):
+        # n = 650: five row blocks, the last one partial, and a column sample
+        # of 82 entries, longer than the threshold's rank q. Duplicated rows
+        # put float64 near-ties at the k-th neighbour; grouped rows leave
+        # thresholds with fewer than k candidates
+        n = 650
+        e = _grouped(rng, n, 6) if rows == "grouped" else _unit(rng, n, 6)
+        if rows == "duplicated":
+            e = e[rng.integers(0, n // 3, size=n)]
+        got = geometry._cosine_knn(e, k)
+        want = knn(_block_cosine(e), k)
+        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
 
     def test_non_finite_distances_rejected(self):
         # self is excluded by a +inf entry, which a +inf or NaN entry at a
@@ -162,26 +191,6 @@ class TestJaccard:
         finally:
             tracemalloc.stop()
         assert peak < 1.15 * n * n * 8
-
-    def test_out_is_filled_and_returned(self, rng):
-        dm = pairwise_cosine_distance(_unit(rng, 300, 6))
-        recip = k_reciprocal_sets(knn(dm, 10))
-        buf = np.full((300, 300), np.nan)
-        got = jaccard_distance(recip, out=buf)
-        assert got is buf
-        assert np.array_equal(buf, jaccard_distance(recip))
-
-    @pytest.mark.parametrize("bad", [
-        np.empty((12, 11)),
-        np.empty((12, 12), dtype=np.float32),
-        np.empty((12, 12), order="F"),
-        np.empty((12, 24))[:, ::2],
-    ], ids=["shape", "dtype", "fortran", "strided"])
-    def test_bad_out_rejected(self, rng, bad):
-        recip = k_reciprocal_sets(
-            knn(pairwise_cosine_distance(_unit(rng, 12, 4)), 3))
-        with pytest.raises(ValueError, match="out"):
-            jaccard_distance(recip, out=bad)
 
     def test_asymmetric_adjacency_matches_set_oracle(self, rng):
         # row i's set need not contain j when row j's contains i, so a product
@@ -273,11 +282,11 @@ class TestWorkers:
         # 700 and 1030 rows end in a partial block; duplicated rows put exact
         # ties across blocks
         e = _unit(rng, n, 6)[rng.integers(0, max(n // 3, 2), size=n)]
-        dm = pairwise_cosine_distance(e)
         got = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
-            got.append((clustering_distance(e, k=k), knn(dm, k)))
+            got.append((clustering_distance(e, k=k),
+                        geometry._cosine_knn(e, k)))
         for entries, lists in got[1:]:
             assert np.array_equal(entries, got[0][0])
             assert np.array_equal(lists, got[0][1])
@@ -358,27 +367,22 @@ class TestFloat32Gap:
         assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
 
     def test_short_and_open_rows_raise_no_warning(self, rng, monkeypatch):
-        # every 8th row, the sampled columns, sits in one tight group, so a
-        # group row's threshold admits fewer than k candidates; duplicated
-        # rows put exact ties at the k-th neighbour
+        # grouped rows, short of k candidates, resolve over every column;
+        # duplicated rows put exact ties at the k-th neighbour, most of them
+        # resolved over their own candidates
         n, k = 400, 30
-        e = _unit(rng, n, 6)
-        e[::geometry._STRIDE] = _unit(rng, 1, 6) + 0.01 * rng.standard_normal(
-            (n // geometry._STRIDE, 6))
-        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        e = _grouped(rng, n, 6)
         e[200:260] = e[rng.integers(0, 200, size=60)]
         want = jaccard_distance(
             k_reciprocal_sets(knn(pairwise_cosine_distance(e), k)))
         sizes = []
-        knn_by_blocks = geometry._knn_by_blocks
+        rescore = geometry._rescore
 
-        def counted(n, k, rows, delta, resolve):
-            def record(i, cols, row):
-                sizes.append(cols.size)
-                return resolve(i, cols, row)
-            return knn_by_blocks(n, k, rows, delta, record)
+        def counted(e, i, cols, k):
+            sizes.append(cols.size)
+            return rescore(e, i, cols, k)
 
-        monkeypatch.setattr(geometry, "_knn_by_blocks", counted)
+        monkeypatch.setattr(geometry, "_rescore", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = clustering_distance(e, k=k)

@@ -80,6 +80,7 @@ def test_bad_list_item_is_usage_error(script, args):
     ("sweep_dbscan.py", ["--num-identities", "0"], "must be >= 2"),
     ("sweep_dbscan.py", ["--samples-per-identity", "1"], "must be >= 2"),
     ("sweep_dbscan.py", ["--intra-class-sigma", "-1"], "must be >= 0"),
+    ("profile_scaling.py", ["--seed", "-1"], "must be >= 0"),
 ])
 def test_out_of_range_value_is_usage_error(script, args, message):
     # refused as the flags are parsed, not by a traceback after the work
