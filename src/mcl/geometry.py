@@ -11,10 +11,10 @@ A clustering pass runs in row blocks, the fused cosine + kNN selection of
 the process's affinity mask; the numpy calls release the GIL, and each block
 writes only its own rows, so results are bitwise the same for any worker
 count. The selection holds a float32 `_ROW_BLOCK` x n block per worker (5 MB
-at n = 10 000), every `_STRIDE`-th column and a 1-byte candidate mask; the
-float64 result is allocated after the lists. `pairwise_cosine_distance` and
-`knn` are plain float64 references. scipy.sparse loads inside the functions
-that use it, so `import mcl` loads no scipy.
+at n = 10 000), every `_STRIDE`-th column and a 1-byte candidate mask; a
+float64 row sum breaks near-ties, and the float64 result follows the lists.
+`pairwise_cosine_distance` and `knn` are float64 references. scipy.sparse
+loads inside the functions that use it, so `import mcl` loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 
 # rows per block. Keep it small: glibc keeps each worker thread's freed blocks
 # in that thread's own malloc arena, so 256 rows cost 7 MiB more peak RSS than
-# 128 on a benchmark training run, for no speed. Only float64 near-ties
-# (duplicated rows) depend on it: `_rescore` breaks them by a block this high
+# 128 on a benchmark training run, for no speed. No result depends on it
 _ROW_BLOCK = 128
 # the kNN selection samples every _STRIDE-th column of a row for its threshold
 _STRIDE = 8
@@ -93,8 +92,8 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> np.ndarray:
 
     One symmetric product, as row blocks of a gemm are not exactly symmetric.
     It can give two identical rows distances to a third row one ulp apart, so
-    `knn` on it breaks such near-ties by value, not by index: it is not the
-    tie reference for `clustering_distance`.
+    `knn` on it breaks such ties by value where `clustering_distance`'s
+    float64 row sum breaks them by index: it is not that pass's reference.
     """
     e = _unit_rows(embeddings)
     d = e @ e.T
@@ -179,19 +178,12 @@ def jaccard_distance(reciprocal) -> np.ndarray:
 
 
 def _rescore(e: np.ndarray, i: int, cols: np.ndarray, k: int) -> np.ndarray:
-    """Row i's k nearest among the ascending cols, which hold them. Two
-    float64 evaluations differ by at most 2 (d + 2) 2^-53, so a gap of twice
-    that in one float64 product settles the set; closer ties (duplicated
-    rows) follow the row's float64 `_ROW_BLOCK`-row product, as in a float64
-    pass, then the lower index."""
-    x = 1.0 - e[cols] @ e[i]
+    """Row i's k nearest among the ascending cols, which hold them, by one
+    float64 row sum 1 - sum(e_j * e_i): identical rows get identical values
+    wherever they sit, so exact ties go to the lower index."""
+    x = 1.0 - (e[cols] * e[i]).sum(axis=1)
     x[cols == i] = np.inf
-    order = np.argsort(x, kind="stable")
-    if x[order[k]] - x[order[k - 1]] > 2.0001 * (e.shape[1] + 2) * 2.0 ** -52:
-        return cols[order[:k]]
-    row = 1.0 - (e[i - i % _ROW_BLOCK:][:_ROW_BLOCK] @ e.T)[i % _ROW_BLOCK]
-    row[i] = np.inf
-    return np.argsort(row, kind="stable")[:k]
+    return cols[np.argsort(x, kind="stable")[:k]]
 
 
 def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
@@ -203,9 +195,10 @@ def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
     only the entries <= t, about 8q, are stably sorted. If there are more
     than k and the (k + 1)-th exceeds the k-th by more than 2 delta, every
     column left out is farther in float64 than all of the first k, which are
-    kept. Any other row goes to `_rescore`: over its candidates if t exceeds
-    the k-th by more than 2 delta, else over every column. A list's set is
-    the float64 pass's; its order follows the float32 values.
+    kept. Any other row goes to `_rescore` over the columns within 2 delta of
+    its k-th float32 entry (all, if it has fewer than k candidates); every
+    column beyond is farther in float64 than its k-th nearest. Sets are the
+    float64 row sums'; a kept list is ordered by its float32 values.
     """
     n = e.shape[0]
     if not 1 <= k < n:
@@ -213,13 +206,12 @@ def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
     e32 = e.astype(np.float32)
     bound = 2.0 * _float32_bound(e.shape[1])
     out = np.empty((n, k), dtype=np.int64)
-    ar = np.arange(n)
     q = min((k + 1) // 4 + 6, -(-n // _STRIDE))  # clipped to the sample
 
     def select(lo: int, hi: int) -> None:
         block = e32[lo:hi] @ e32.T
         np.subtract(1.0, block, out=block)
-        block[ar[lo:hi] - lo, ar[lo:hi]] = np.inf  # exclude self
+        np.fill_diagonal(block[:, lo:hi], np.inf)  # exclude self
         t = np.partition(block[:, ::_STRIDE], q - 1, axis=1)[:, q - 1]
         # flat indices keep row-major order, so each row's columns ascend
         rows, cols = np.divmod(np.flatnonzero(block <= t[:, None]), n)
@@ -238,9 +230,8 @@ def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
         gap = np.subtract(near[:, k], near[:, k - 1], out=np.zeros(hi - lo),
                           where=counts > k)
         for r in np.flatnonzero(gap <= bound):
-            own = counts[r] >= k and t[r] - near[r, k - 1] > bound
-            pick = cols[starts[r]:starts[r] + counts[r]] if own else ar
-            out[lo + r] = _rescore(e, lo + r, pick, k)
+            window = np.flatnonzero(block[r] <= near[r, k - 1] + bound)
+            out[lo + r] = _rescore(e, lo + r, window, k)
 
     _map_row_blocks(select, n)
     return out

@@ -176,7 +176,7 @@ def _cluster_with_widening(d: np.ndarray, eps: float, min_pts: int,
                 return best[1:]
             raise NoClustersError(
                 f"no clusters up to eps={e:.2f} (started at {eps})")
-        e = min(e + EPS_WIDEN_STEP, EPS_CEILING)
+        e = min(round(e + EPS_WIDEN_STEP, 10), EPS_CEILING)  # decimal radii
 
 
 def run_phase1_epoch(features: np.ndarray, params: EncoderParams,

@@ -17,6 +17,13 @@ def knn_full_sort(dist, k):
     return out
 
 
+def cosine_rowsum(e):
+    """1 - e_i . e_j as a float64 sum over each row's elementwise products,
+    one row i at a time, so identical rows get identical distances wherever
+    they sit."""
+    return np.vstack([1.0 - (e * e[i]).sum(axis=1) for i in range(len(e))])
+
+
 def reciprocal_membership(knn_idx):
     """Dense bool R with R[i,j] iff j in knn(i) and i in knn(j)."""
     n = knn_idx.shape[0]

@@ -19,7 +19,12 @@ from mcl.geometry import (
     pairwise_cosine_distance,
 )
 
-from .oracles import jaccard_from_sets, knn_full_sort, reciprocal_membership
+from .oracles import (
+    cosine_rowsum,
+    jaccard_from_sets,
+    knn_full_sort,
+    reciprocal_membership,
+)
 
 
 def _unit(rng, n, d):
@@ -34,14 +39,6 @@ def _grouped(rng, n, d):
     e[::geometry._STRIDE] = _unit(rng, 1, d) + 0.01 * rng.standard_normal(
         (-(-n // geometry._STRIDE), d))
     return e / np.linalg.norm(e, axis=1, keepdims=True)
-
-
-def _block_cosine(e):
-    """1 - e @ e.T from float64 `_ROW_BLOCK`-row products, whose rounding
-    breaks `_cosine_knn`'s near-ties; the one symmetric product of
-    `pairwise_cosine_distance` can order identical rows differently."""
-    h = geometry._ROW_BLOCK
-    return np.vstack([1.0 - e[lo:lo + h] @ e.T for lo in range(0, len(e), h)])
 
 
 class TestCosine:
@@ -111,17 +108,17 @@ class TestKnn:
 
     @pytest.mark.parametrize("rows", ["random", "duplicated", "grouped"])
     @pytest.mark.parametrize("k", [1, 30, 100])
-    def test_cosine_knn_matches_the_block_product(self, rng, rows, k):
+    def test_cosine_knn_matches_the_row_sum_reference(self, rng, rows, k):
         # n = 650: five row blocks, the last one partial, and a column sample
         # of 82 entries, longer than the threshold's rank q. Duplicated rows
-        # put float64 near-ties at the k-th neighbour; grouped rows leave
-        # thresholds with fewer than k candidates
+        # put exact ties at the k-th neighbour, which go to the lower index;
+        # grouped rows leave thresholds with fewer than k candidates
         n = 650
         e = _grouped(rng, n, 6) if rows == "grouped" else _unit(rng, n, 6)
         if rows == "duplicated":
             e = e[rng.integers(0, n // 3, size=n)]
         got = geometry._cosine_knn(e, k)
-        want = knn(_block_cosine(e), k)
+        want = knn(cosine_rowsum(e), k)
         assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
 
     def test_non_finite_distances_rejected(self):
@@ -217,17 +214,20 @@ class TestPipeline:
         clustering_distance(e, k=8)
         assert ENTRY_COUNTER.total - before == 2 * 50 * 50
 
-    def test_equals_staged_computation(self, rng):
+    def test_equals_staged_computation(self):
         # n = 1030 and 2100 span two and three row blocks; drawing rows with
-        # replacement duplicates many of them, so exact ties cross blocks
-        for n, k in ((35, 6), (1030, 1), (1030, 30), (2100, 30)):
-            e = _unit(rng, n, 6)
-            if n > 35:
-                e = e[rng.integers(0, n // 3, size=n)]
-            got = clustering_distance(e, k=k)
-            want = jaccard_distance(
-                k_reciprocal_sets(knn(pairwise_cosine_distance(e), k)))
-            assert np.array_equal(got, want)
+        # replacement duplicates many of them, so exact ties cross blocks.
+        # Each seed is its own draw: the tie rule must hold at every one
+        for seed in (0, 1, 7):
+            rng = np.random.default_rng(seed)
+            for n, k in ((35, 6), (1030, 1), (1030, 30), (2100, 30)):
+                e = _unit(rng, n, 6)
+                if n > 35:
+                    e = e[rng.integers(0, n // 3, size=n)]
+                got = clustering_distance(e, k=k)
+                want = jaccard_distance(
+                    k_reciprocal_sets(knn(cosine_rowsum(e), k)))
+                assert np.array_equal(got, want), (seed, n, k)
 
     def test_rejects_invalid_input(self, rng):
         e = _unit(rng, 8, 4)
@@ -346,7 +346,10 @@ class TestFloat32Gap:
     def test_near_tie_at_the_kth_neighbour_gives_the_float64_set(self, rng,
                                                                 dim):
         # row 0's k-th and (k + 1)-th neighbours lie 1e-9 apart, far inside
-        # 2 delta, and the nearer one has the higher index
+        # 2 delta, and the nearer one has the higher index. Rotated, every
+        # entry of row 0 rounds to float32, which puts the farther one first
+        # in about a quarter of the draws: the re-score must then look past
+        # the k-th float32 entry
         k, n = 5, 200
         x = np.zeros(dim)
         x[0] = 1.0
@@ -359,22 +362,28 @@ class TestFloat32Gap:
         cos = 1.0 - dist
         e = cos[:, None] * x + np.sqrt(1.0 - cos ** 2)[:, None] * w
         e[0] = x
-        d = pairwise_cosine_distance(e)
-        assert 0.0 < d[0, k] - d[0, n - 1] < 2 * geometry._float32_bound(dim)
-        got = geometry._cosine_knn(e, k)
-        want = knn(d, k)
-        assert set(got[0]) == set(range(1, k)) | {n - 1}
-        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+        bound = 2 * geometry._float32_bound(dim)
+        rotations = [np.eye(dim)]
+        rotations += [np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+                      for _ in range(40)]
+        for q in rotations:
+            r = e @ q
+            r /= np.linalg.norm(r, axis=1, keepdims=True)
+            d = pairwise_cosine_distance(r)
+            assert 0.0 < d[0, k] - d[0, n - 1] < bound
+            got = geometry._cosine_knn(r, k)
+            want = knn(d, k)
+            assert set(got[0]) == set(range(1, k)) | {n - 1}
+            assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
 
     def test_short_and_open_rows_raise_no_warning(self, rng, monkeypatch):
         # grouped rows, short of k candidates, resolve over every column;
-        # duplicated rows put exact ties at the k-th neighbour, most of them
-        # resolved over their own candidates
+        # duplicated rows put exact ties at the k-th neighbour, resolved over
+        # the few columns within 2 delta of it
         n, k = 400, 30
         e = _grouped(rng, n, 6)
         e[200:260] = e[rng.integers(0, 200, size=60)]
-        want = jaccard_distance(
-            k_reciprocal_sets(knn(pairwise_cosine_distance(e), k)))
+        want = jaccard_distance(k_reciprocal_sets(knn(cosine_rowsum(e), k)))
         sizes = []
         rescore = geometry._rescore
 
@@ -386,16 +395,22 @@ class TestFloat32Gap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = clustering_distance(e, k=k)
-        assert n in sizes and min(sizes) < n  # full rows and candidate rows
+        assert n in sizes and min(sizes) < n  # full rows and windows
         assert np.array_equal(got, want)
 
     def test_lists_do_not_depend_on_block_height(self, rng, monkeypatch):
-        e = _unit(rng, 1030, 6)
-        got = []
-        for height in (64, 128, 256):
-            monkeypatch.setattr(geometry, "_ROW_BLOCK", height)
-            got.append((np.sort(geometry._cosine_knn(e, 30), axis=1),
-                        clustering_distance(e, k=30)))
-        for lists, entries in got[1:]:
-            assert np.array_equal(lists, got[0][0])
-            assert np.array_equal(entries, got[0][1])
+        # random rows at d = 6, then duplicated rows at d = 6 and 64, whose
+        # exact ties at the k-th neighbour sit in different blocks at each
+        # height
+        n = 1030
+        e6 = _unit(rng, n, 6)
+        pick = rng.integers(0, n // 3, size=n)
+        for e in (e6, e6[pick], _unit(rng, n, 64)[pick]):
+            got = []
+            for height in (64, 128, 256):
+                monkeypatch.setattr(geometry, "_ROW_BLOCK", height)
+                got.append((np.sort(geometry._cosine_knn(e, 30), axis=1),
+                            clustering_distance(e, k=30)))
+            for lists, entries in got[1:]:
+                assert np.array_equal(lists, got[0][0])
+                assert np.array_equal(entries, got[0][1])

@@ -210,6 +210,14 @@ class TestWidening:
         with pytest.raises(NoClustersError):
             _cluster_with_widening(dm, eps=0.1, min_pts=2)
 
+    def test_radii_are_decimals(self):
+        # 0.7 + 0.05 + 0.05 + 0.05 sums to 0.8500000000000001 in floating
+        # point; the radius, and report.json's eps_used, must read 0.85
+        dm = self._block_matrix([0.82, 0.82])
+        got, eps = _cluster_with_widening(dm, eps=0.7, min_pts=2)
+        assert eps == 0.85
+        assert got.num_clusters == 2
+
     def test_ceiling_respected(self):
         dm = self._block_matrix([0.94, 0.97])
         got, eps = _cluster_with_widening(dm, eps=0.9, min_pts=2)
