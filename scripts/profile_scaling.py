@@ -17,6 +17,7 @@ import numpy as np
 from mcl.cli import comma_list, ruled
 from mcl.geometry import _worker_count
 from mcl.metrics import profile_clustering
+from mcl.model import normalize_rows
 
 K = 30  # neighbours per point in each profiled pass, profile_clustering's default
 
@@ -44,8 +45,7 @@ def main(argv=None):
 
     rows = []
     for n in args.sizes:
-        x = rng.standard_normal((n, args.d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        x = normalize_rows(rng.standard_normal((n, args.d)))[0]
         base = None
         for r in fractions:
             m = max(2, int(round(n * r)))

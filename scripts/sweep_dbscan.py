@@ -11,13 +11,12 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from mcl.cli import comma_list, ruled
 from mcl.cluster import dbscan
 from mcl.data import GenSpec, generate_pool
 from mcl.geometry import clustering_distance
 from mcl.metrics import clustering_quality
+from mcl.model import normalize_rows
 
 
 def main(argv=None):
@@ -49,8 +48,7 @@ def main(argv=None):
                    intra_class_sigma=args.intra_class_sigma, seed=args.seed)
     pool = generate_pool(spec)
     print(f"pool: {pool} sigma={spec.intra_class_sigma}")
-    x = pool.features.astype("float64")
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x = normalize_rows(pool.features.astype("float64"))[0]
     dm = clustering_distance(x, k=args.k_neighbors)
 
     rows = []

@@ -105,6 +105,8 @@ class Pool:
         features = np.ascontiguousarray(features, dtype=np.float32)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
+        if features.shape[1] == 0:
+            raise DimensionMismatchError("zero feature dimension")
         if not np.isfinite(features).all():
             raise ValueError("features contain NaN/Inf")
         n = features.shape[0]

@@ -37,7 +37,7 @@ _CHECKPOINT_HEADER = struct.Struct("<4sHIII")
 
 
 class DegenerateEmbeddingError(ValueError):
-    """Pre-normalization output collapsed below the norm floor."""
+    """An embedding or prototype row's norm fell below NORM_FLOOR."""
 
 
 @dataclass

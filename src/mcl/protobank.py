@@ -10,29 +10,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import normalize_rows
+
 
 class NoClustersError(RuntimeError):
     """Clustering produced zero classes; there is nothing to train against."""
 
 
 class PrototypeBank:
-    """K x d prototype rows, scaled to unit norm on construction and after
-    every momentum update."""
+    """K x d prototype rows in an array of the bank's own, scaled to unit norm
+    by normalize_rows on construction and after every momentum update."""
 
     def __init__(self, weights: np.ndarray, momentum: float = 0.2):
-        weights = np.asarray(weights, dtype=np.float64)
+        weights = np.ascontiguousarray(weights, dtype=np.float64)
         if weights.ndim != 2:
             raise ValueError(f"prototype matrix must be 2-D, got {weights.ndim}-D")
         if weights.shape[0] == 0:
             raise NoClustersError("empty prototype bank")
         if not 0.0 <= momentum <= 1.0:
             raise ValueError(f"momentum must be in [0, 1], got {momentum}")
-        self.weights = np.ascontiguousarray(weights)
+        self.weights = normalize_rows(weights)[0]
         self.momentum = momentum
-        norms = np.linalg.norm(self.weights, axis=1)
-        if norms.min() < 1e-12:
-            raise ValueError("degenerate prototype (norm ~ 0)")
-        self.weights /= norms[:, None]
 
     @property
     def num_classes(self) -> int:
@@ -62,7 +60,7 @@ class PrototypeBank:
     def momentum_update(self, embeddings: np.ndarray, labels: np.ndarray) -> None:
         """w_k <- m w_k + (1-m) mean(batch members of k), scaled to unit norm.
 
-        Classes absent from the batch are left bitwise untouched.
+        Absent classes stay bitwise unchanged, and so do all on a refused update.
         """
         embeddings = np.asarray(embeddings, dtype=np.float64)
         labels = np.asarray(labels)
@@ -75,11 +73,7 @@ class PrototypeBank:
         present = counts > 0
         m = self.momentum
         upd = m * self.weights[present] + (1.0 - m) * (sums[present] / counts[present, None])
-        norms = np.linalg.norm(upd, axis=1)
-        if norms.min(initial=np.inf) < 1e-12:
-            raise ValueError("momentum update collapsed a prototype")
-        upd /= norms[:, None]
-        self.weights[present] = upd
+        self.weights[present] = normalize_rows(upd)[0]
 
     def soft_label_batch(self, v: np.ndarray) -> np.ndarray:
         """Softmax over prototype dot products (no temperature), per row."""

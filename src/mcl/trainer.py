@@ -42,7 +42,7 @@ EPS_CEILING = 0.95
 
 
 class NumericError(RuntimeError):
-    """Training hit a non-finite loss or a degenerate embedding."""
+    """Training hit a non-finite loss, embedding or prototype, or a collapsed one."""
 
 
 @dataclass(frozen=True)

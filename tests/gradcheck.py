@@ -25,14 +25,10 @@ from mcl.losses import (
 )
 from mcl.protobank import PrototypeBank
 
+from .conftest import unit_rows
 from .oracles import central_difference, relative_error
 
 _SAFE = 1e-2
-
-
-def _unit(rng, n, d):
-    v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _softmax(z):
@@ -60,7 +56,7 @@ def _saturation_safe_infonce(w, labels, tau):
 def check_infonce(rng):
     k = int(rng.integers(2, 9))
     d = int(rng.integers(3, 9))
-    bank = PrototypeBank(_unit(rng, k, d))
+    bank = PrototypeBank(unit_rows(rng, k, d))
     tau = float(rng.uniform(0.03, 0.5))
     if rng.random() < 0.5:
         # one row, drawn as a single query vector and its positive
@@ -93,7 +89,7 @@ def check_siamese(rng):
     k = int(rng.integers(2, 8))
     d = int(rng.integers(3, 8))
     n = int(rng.integers(1, 6))
-    bank = PrototypeBank(_unit(rng, k, d))
+    bank = PrototypeBank(unit_rows(rng, k, d))
     v = rng.standard_normal((2 * n, d))  # [view a; view b]
     got = siamese_consistency_batch(v, bank)
     value = _frozen_consistency(v, bank.weights)
@@ -125,7 +121,7 @@ def check_triplet(rng, soft_weight=True):
     d = int(rng.integers(3, 8))
     margin = float(rng.uniform(0.1, 0.6))
     while True:
-        v = _unit(rng, ids.size, d)
+        v = unit_rows(rng, ids.size, d)
         if _clear_of_kinks(v, ids, margin, soft_weight):
             break
     got = soft_weighted_triplet_batch(v, ids, margin, soft_weight=soft_weight)
@@ -142,10 +138,10 @@ def check_phase2(rng):
     b = int(rng.integers(2, 5))
     margin = float(rng.uniform(0.1, 0.6))
     lam = float(rng.uniform(0.3, 2.0))
-    bank = PrototypeBank(_unit(rng, k, d))
+    bank = PrototypeBank(unit_rows(rng, k, d))
     ids = np.concatenate([np.arange(b), np.arange(b)])  # two views per id
     while True:
-        v2 = _unit(rng, 2 * b, d)
+        v2 = unit_rows(rng, 2 * b, d)
         if _clear_of_kinks(v2, ids, margin, clamp=True):
             break
     got = phase2_total(siamese_consistency_batch(v2, bank),

@@ -114,6 +114,9 @@ class TestPool:
             Pool(np.zeros((3, 2), dtype=np.float32), np.zeros(2))
         with pytest.raises(ValueError):
             Pool(np.zeros((2, 2), dtype=np.float32), np.array([-1, 0]))
+        # write_features would write it and read_features refuse it
+        with pytest.raises(DimensionMismatchError, match="zero feature dimension"):
+            Pool(np.zeros((3, 0), dtype=np.float32), np.zeros(3))
 
 
 class TestMCLFRoundTrip:
@@ -197,10 +200,12 @@ class TestMCLFRoundTrip:
             read_features(path)
 
     def test_dimension_check(self, tmp_path):
+        # Pool refuses zero width, so the program never writes such a file
         path = tmp_path / "x.mclf"
-        write_features(Pool(np.zeros((3, 0), dtype=np.float32), np.zeros(3)),
-                       path)
-        with pytest.raises(DimensionMismatchError):
+        path.write_bytes(struct.pack("<4sHHII", b"MCLF", 1, 1, 3, 0)
+                         + np.zeros(3, dtype="<u4").tobytes())
+        with pytest.raises(DimensionMismatchError,
+                           match=r"x\.mclf: zero feature dimension"):
             read_features(path)
 
 

@@ -19,6 +19,7 @@ from mcl.geometry import (
     pairwise_cosine_distance,
 )
 
+from .conftest import unit_rows
 from .oracles import (
     cosine_rowsum,
     jaccard_from_sets,
@@ -27,30 +28,25 @@ from .oracles import (
 )
 
 
-def _unit(rng, n, d):
-    v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _grouped(rng, n, d):
     """Unit rows whose every `_STRIDE`-th row, the sampled columns, sits in
     one tight group, so a group row's threshold admits fewer than k."""
-    e = _unit(rng, n, d)
-    e[::geometry._STRIDE] = _unit(rng, 1, d) + 0.01 * rng.standard_normal(
+    e = unit_rows(rng, n, d)
+    e[::geometry._STRIDE] = unit_rows(rng, 1, d) + 0.01 * rng.standard_normal(
         (-(-n // geometry._STRIDE), d))
     return e / np.linalg.norm(e, axis=1, keepdims=True)
 
 
 class TestCosine:
     def test_matches_direct_formula(self, rng):
-        e = _unit(rng, 40, 8)
+        e = unit_rows(rng, 40, 8)
         dm = pairwise_cosine_distance(e)
         want = 1.0 - e @ e.T
         np.fill_diagonal(want, 0.0)
         assert np.allclose(dm, want, atol=1e-12)
 
     def test_symmetric_zero_diagonal(self, rng):
-        dm = pairwise_cosine_distance(_unit(rng, 25, 6))
+        dm = pairwise_cosine_distance(unit_rows(rng, 25, 6))
         assert np.array_equal(dm, dm.T)
         assert np.all(np.diag(dm) == 0.0)
 
@@ -59,14 +55,14 @@ class TestCosine:
             pairwise_cosine_distance(rng.standard_normal((5, 4)) * 3.0)
 
     def test_rejects_non_finite(self, rng):
-        e = _unit(rng, 5, 4)
+        e = unit_rows(rng, 5, 4)
         e[2, 1] = np.nan
         with pytest.raises(ValueError):
             pairwise_cosine_distance(e)
 
     def test_counts_entries(self, rng):
         before = ENTRY_COUNTER.total
-        pairwise_cosine_distance(_unit(rng, 33, 5))
+        pairwise_cosine_distance(unit_rows(rng, 33, 5))
         assert ENTRY_COUNTER.total - before == 33 * 33
 
 
@@ -75,7 +71,7 @@ class TestKnn:
         for trial in range(20):
             n = int(rng.integers(5, 60))
             k = int(rng.integers(1, n - 1))
-            dm = pairwise_cosine_distance(_unit(rng, n, 6))
+            dm = pairwise_cosine_distance(unit_rows(rng, n, 6))
             assert np.array_equal(knn(dm, k), knn_full_sort(dm, k))
 
     def test_tie_heavy_matrix(self):
@@ -91,7 +87,7 @@ class TestKnn:
     @pytest.mark.parametrize("k", [1, 30, 100])
     def test_sampled_threshold_matches_full_sort(self, rng, k):
         n = 650
-        e = _unit(rng, n, 6)
+        e = unit_rows(rng, n, 6)
         raw = rng.integers(0, 4, size=(n, n)).astype(np.float64)
         for d in (pairwise_cosine_distance(e),
                   (raw + raw.T) / 2.0,  # exact ties everywhere, at t too
@@ -114,7 +110,7 @@ class TestKnn:
         # put exact ties at the k-th neighbour, which go to the lower index;
         # grouped rows leave thresholds with fewer than k candidates
         n = 650
-        e = _grouped(rng, n, 6) if rows == "grouped" else _unit(rng, n, 6)
+        e = _grouped(rng, n, 6) if rows == "grouped" else unit_rows(rng, n, 6)
         if rows == "duplicated":
             e = e[rng.integers(0, n // 3, size=n)]
         got = geometry._cosine_knn(e, k)
@@ -138,7 +134,7 @@ class TestKnn:
             knn(np.zeros(shape), 1)
 
     def test_k_bounds(self, rng):
-        dm = pairwise_cosine_distance(_unit(rng, 6, 4))
+        dm = pairwise_cosine_distance(unit_rows(rng, 6, 4))
         with pytest.raises(ValueError):
             knn(dm, 6)
         with pytest.raises(ValueError):
@@ -150,7 +146,7 @@ class TestReciprocal:
         for trial in range(10):
             n = int(rng.integers(6, 50))
             k = int(rng.integers(1, min(12, n - 1)))
-            dm = pairwise_cosine_distance(_unit(rng, n, 5))
+            dm = pairwise_cosine_distance(unit_rows(rng, n, 5))
             lists = knn(dm, k)
             recip = k_reciprocal_sets(lists)
             assert recip.format == "csr"
@@ -158,7 +154,7 @@ class TestReciprocal:
             assert np.array_equal(got, reciprocal_membership(lists))
 
     def test_mutuality_is_symmetric(self, rng):
-        dm = pairwise_cosine_distance(_unit(rng, 30, 5))
+        dm = pairwise_cosine_distance(unit_rows(rng, 30, 5))
         r = k_reciprocal_sets(knn(dm, 4)).toarray()
         assert np.array_equal(r, r.T)
 
@@ -168,7 +164,7 @@ class TestJaccard:
         for trial in range(6):
             n = int(rng.integers(6, 40))
             k = int(rng.integers(1, min(10, n - 1)))
-            dm = pairwise_cosine_distance(_unit(rng, n, 5))
+            dm = pairwise_cosine_distance(unit_rows(rng, n, 5))
             recip = k_reciprocal_sets(knn(dm, k))
             got = jaccard_distance(recip)
             want = jaccard_from_sets(recip.toarray().astype(bool))
@@ -180,7 +176,7 @@ class TestJaccard:
         # only jaccard_distance's own allocations count
         n = 3000
         recip = k_reciprocal_sets(
-            knn(pairwise_cosine_distance(_unit(rng, n, 64)), 30))
+            knn(pairwise_cosine_distance(unit_rows(rng, n, 64)), 30))
         tracemalloc.start()
         try:
             jaccard_distance(recip)
@@ -200,7 +196,7 @@ class TestJaccard:
         assert np.allclose(got, jaccard_from_sets(a), atol=1e-12)
 
     def test_range_and_diagonal(self, rng):
-        dm = pairwise_cosine_distance(_unit(rng, 30, 6))
+        dm = pairwise_cosine_distance(unit_rows(rng, 30, 6))
         j = jaccard_distance(k_reciprocal_sets(knn(dm, 5)))
         assert np.all(j >= 0.0) and np.all(j <= 1.0)
         assert np.all(np.diag(j) == 0.0)
@@ -209,7 +205,7 @@ class TestJaccard:
 
 class TestPipeline:
     def test_counts_two_matrices(self, rng):
-        e = _unit(rng, 50, 6)
+        e = unit_rows(rng, 50, 6)
         before = ENTRY_COUNTER.total
         clustering_distance(e, k=8)
         assert ENTRY_COUNTER.total - before == 2 * 50 * 50
@@ -221,7 +217,7 @@ class TestPipeline:
         for seed in (0, 1, 7):
             rng = np.random.default_rng(seed)
             for n, k in ((35, 6), (1030, 1), (1030, 30), (2100, 30)):
-                e = _unit(rng, n, 6)
+                e = unit_rows(rng, n, 6)
                 if n > 35:
                     e = e[rng.integers(0, n // 3, size=n)]
                 got = clustering_distance(e, k=k)
@@ -230,7 +226,7 @@ class TestPipeline:
                 assert np.array_equal(got, want), (seed, n, k)
 
     def test_rejects_invalid_input(self, rng):
-        e = _unit(rng, 8, 4)
+        e = unit_rows(rng, 8, 4)
         with pytest.raises(ValueError):
             clustering_distance(e * 3.0, k=3)
         bad = e.copy()
@@ -267,7 +263,7 @@ class TestPipeline:
     def test_properties_hold_for_random_inputs(self, n, k, seed):
         if k >= n:
             k = n - 1
-        e = _unit(np.random.default_rng(seed), n, 4)
+        e = unit_rows(np.random.default_rng(seed), n, 4)
         dm = clustering_distance(e, k=k)
         assert dm.shape == (n, n)
         assert np.all(np.diag(dm) == 0.0)
@@ -281,7 +277,7 @@ class TestWorkers:
                                                    n, k):
         # 700 and 1030 rows end in a partial block; duplicated rows put exact
         # ties across blocks
-        e = _unit(rng, n, 6)[rng.integers(0, max(n // 3, 2), size=n)]
+        e = unit_rows(rng, n, 6)[rng.integers(0, max(n // 3, 2), size=n)]
         got = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
@@ -315,7 +311,7 @@ def _aligned_rows(rng, n, dim):
     """Unit rows (within 1e-6) whose every entry rounds away from zero to
     float32 by almost half a float32 spacing, so a row's dot product with
     itself, or with any row of the same signs, rounds up in every term."""
-    v = _unit(rng, n, dim)
+    v = unit_rows(rng, n, dim)
     v32 = v.astype(np.float32)
     half = np.spacing(np.abs(v32)).astype(np.float64) / 2
     # spacing below a power of two is half as wide: stay inside it
@@ -326,7 +322,7 @@ class TestFloat32Gap:
     @pytest.mark.parametrize("dim", [2, 6, 64, 128])
     def test_float32_distances_within_the_bound(self, rng, dim):
         delta = geometry._float32_bound(dim)
-        for e in (_unit(rng, 200, dim), _aligned_rows(rng, 200, dim)):
+        for e in (unit_rows(rng, 200, dim), _aligned_rows(rng, 200, dim)):
             geometry._unit_rows(e)  # the rows the bound is stated for
             e32 = e.astype(np.float32)
             d64 = (1.0 - e @ e.T, 1.0 - (e[:, None] * e[None]).sum(axis=2))
@@ -353,7 +349,7 @@ class TestFloat32Gap:
         k, n = 5, 200
         x = np.zeros(dim)
         x[0] = 1.0
-        w = _unit(rng, n, dim)
+        w = unit_rows(rng, n, dim)
         w[:, 0] = 0.0
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         dist = np.full(n, 1.5)  # the rest sit in the far hemisphere
@@ -403,9 +399,9 @@ class TestFloat32Gap:
         # exact ties at the k-th neighbour sit in different blocks at each
         # height
         n = 1030
-        e6 = _unit(rng, n, 6)
+        e6 = unit_rows(rng, n, 6)
         pick = rng.integers(0, n // 3, size=n)
-        for e in (e6, e6[pick], _unit(rng, n, 64)[pick]):
+        for e in (e6, e6[pick], unit_rows(rng, n, 64)[pick]):
             got = []
             for height in (64, 128, 256):
                 monkeypatch.setattr(geometry, "_ROW_BLOCK", height)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mcl.model import DegenerateEmbeddingError
 from mcl.protobank import NoClustersError, PrototypeBank
 
 from .conftest import unit_rows
@@ -35,6 +36,23 @@ class TestConstruction:
         w[0, 0] = 1.0
         with pytest.raises(ValueError):
             PrototypeBank(w)
+
+    def test_keeps_its_own_copy(self, rng):
+        # scaling in place would change the caller's rows, and every later
+        # update would write into them
+        w = rng.standard_normal((3, 5)) * 3.0
+        raw = w.tobytes()
+        bank = PrototypeBank(w)
+        assert w.tobytes() == raw
+        assert not np.shares_memory(bank.weights, w)
+        assert bank.weights.flags.c_contiguous
+        bank.momentum_update(unit_rows(rng, 3, 5), np.arange(3))
+        assert w.tobytes() == raw
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(FloatingPointError):
+            PrototypeBank([[bad, 1.0], [1.0, 0.0]])
 
 
 class TestFromClusters:
@@ -94,6 +112,26 @@ class TestMomentumUpdate:
             bank.momentum_update(unit_rows(rng, 2, 6), np.array([0, 3]))
         with pytest.raises(ValueError):
             bank.momentum_update(unit_rows(rng, 2, 6), np.array([-1, 0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_update_refused(self, rng, bad):
+        bank = _bank(rng, k=3, d=4)
+        before = bank.weights.tobytes()
+        emb = unit_rows(rng, 3, 4)
+        emb[1, 0] = bad
+        with pytest.raises(FloatingPointError):
+            bank.momentum_update(emb, np.array([0, 1, 2]))
+        assert bank.weights.tobytes() == before
+
+    def test_collapsed_update_refused(self, rng):
+        # 0.5 w + 0.5 (-w) is exactly zero; class 1's update is fine, and is
+        # not written either
+        bank = _bank(rng, k=3, d=4, momentum=0.5)
+        before = bank.weights.tobytes()
+        emb = np.stack([-bank.weights[0], unit_rows(rng, 1, 4)[0]])
+        with pytest.raises(DegenerateEmbeddingError):
+            bank.momentum_update(emb, np.array([0, 1]))
+        assert bank.weights.tobytes() == before
 
     @given(seed=st.integers(0, 9999), m=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
