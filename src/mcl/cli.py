@@ -308,6 +308,9 @@ def main(argv=None) -> int:
     except (FeatureFileError, NoClustersError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # numpy names the array's shape and bytes
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

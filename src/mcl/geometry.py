@@ -150,10 +150,10 @@ def jaccard_distance(reciprocal) -> np.ndarray:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
 
     S(i) is row i of the `k_reciprocal_sets` adjacency plus {i} itself, so no
-    set is empty and the diagonal is 0. Each `_map_row_blocks` row range
-    counts its own intersections as one sparse product (sets are tiny) and
-    fills its rows of the dense result from that product's CSR rows, so no
-    whole-pass product is ever held.
+    set is empty and each diagonal entry is 1 - |S(i)| / |S(i)| = 0 exactly.
+    Each `_map_row_blocks` row range counts its own intersections as one
+    sparse product (sets are tiny) and fills its rows of the dense result
+    from that product's CSR rows, so no whole-pass product is ever held.
     """
     import scipy.sparse as sp
     n = reciprocal.shape[0]
@@ -172,7 +172,6 @@ def jaccard_distance(reciprocal) -> np.ndarray:
         out[rows, c] = 1.0 - both / (sizes[rows] + sizes[c] - both)
 
     _map_row_blocks(fill, n)
-    np.fill_diagonal(out, 0.0)
     ENTRY_COUNTER.add(n * n)
     return out
 

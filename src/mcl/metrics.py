@@ -73,13 +73,15 @@ def _comb2(x: np.ndarray) -> np.ndarray:
     return x * (x - 1.0) / 2.0
 
 
-def _contingency(pred: np.ndarray, true: np.ndarray):
-    """The pred x true count table as CSR; scipy loads here, not at import."""
+def _pair_counts(pred: np.ndarray, true: np.ndarray):
+    """(pairs together in both, in pred, in true), read off the sparse pred x
+    true count table; scipy loads here, not at import."""
     import scipy.sparse as sp
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(true, return_inverse=True)
-    data = np.ones(len(pred))
-    return sp.coo_matrix((data, (pi, ti))).tocsr()
+    c = sp.coo_matrix((np.ones(len(pred)), (pi, ti))).tocsr()
+    return (_comb2(c.data).sum(), _comb2(np.asarray(c.sum(axis=1)).ravel()).sum(),
+            _comb2(np.asarray(c.sum(axis=0)).ravel()).sum())
 
 
 def clustering_quality(assignment: np.ndarray,
@@ -90,10 +92,7 @@ def clustering_quality(assignment: np.ndarray,
     if pred.shape != true.shape:
         raise ValueError("assignment and ground truth must align")
     n = len(pred)
-    c = _contingency(pred, true)
-    tp = _comb2(c.data).sum()
-    same_pred = _comb2(np.asarray(c.sum(axis=1)).ravel()).sum()
-    same_true = _comb2(np.asarray(c.sum(axis=0)).ravel()).sum()
+    tp, same_pred, same_true = _pair_counts(pred, true)
     precision = tp / same_pred if same_pred > 0 else 1.0
     recall = tp / same_true if same_true > 0 else 1.0
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
@@ -115,11 +114,8 @@ def labeling_correct_fraction(labels: np.ndarray, ground_truth: np.ndarray) -> f
     kept = labels >= 0
     if kept.sum() < 2:
         return float("nan")
-    c = _contingency(labels[kept], true[kept])
-    same_pred = _comb2(np.asarray(c.sum(axis=1)).ravel()).sum()
-    if same_pred == 0:
-        return float("nan")
-    return float(_comb2(c.data).sum() / same_pred)
+    tp, same_pred, _ = _pair_counts(labels[kept], true[kept])
+    return float(tp / same_pred) if same_pred > 0 else float("nan")
 
 
 def profile_clustering(embeddings: np.ndarray, k: int = 30, eps: float = 0.7,

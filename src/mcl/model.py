@@ -78,9 +78,9 @@ def normalize_rows(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(u, axis=1)
     # a finite norm >= the floor makes every row of v finite and unit-norm
     if not np.isfinite(norms).all():
-        raise FloatingPointError("non-finite encoder output (diverged weights)")
+        raise FloatingPointError("non-finite row")
     if norms.min(initial=np.inf) < NORM_FLOOR:
-        raise DegenerateEmbeddingError("pre-normalization norm below 1e-12")
+        raise DegenerateEmbeddingError("row norm below 1e-12")
     return u / norms[:, None], norms
 
 
@@ -194,6 +194,9 @@ def save_checkpoint(params: EncoderParams, path) -> None:
     shapes = [np.shape(t) for t in tensors]
     if shapes != _shapes(*dims):
         raise ValueError(f"encoder shapes do not chain: {shapes}")
+    bad = [name for name, t in params.tensors() if not np.isfinite(t).all()]
+    if bad:  # refused before the file opens, so no partial file is left
+        raise ValueError(f"{path}: non-finite values in {'/'.join(bad)}")
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, *dims))
         for t in tensors:

@@ -7,6 +7,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,14 @@ def src_env():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return env
+
+
+def pack_checkpoint(path, W1, b1, W2, b2):
+    """An MCLP version-2 file at path, packed by hand, so it may hold
+    weights that `save_checkpoint` refuses to write."""
+    header = struct.pack("<4sHIII", b"MCLP", 2, W1.shape[1], len(W1), len(W2))
+    path.write_bytes(header + b"".join(
+        np.ascontiguousarray(t, dtype="<f8").tobytes() for t in (W1, b1, W2, b2)))
 
 
 @pytest.fixture

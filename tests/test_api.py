@@ -1,6 +1,6 @@
-"""The public surface: `mcl.__all__`, the functions perfbench traces, the
-benchmark worker's calls into mcl, what `import mcl` loads, and the size of
-the package."""
+"""The public surface: the functions perfbench traces, the benchmark worker's
+calls into mcl, what `import mcl` loads (every module, each name under its
+module only, and no scipy), and the size of the package."""
 
 import importlib
 import importlib.util
@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 
-import mcl
 import mcl.trainer
 from mcl.cluster import dbscan
 from mcl.data import GenSpec, generate_pool, write_features
@@ -45,10 +44,6 @@ def _load_perfbench(name):
     return module
 
 
-def test_every_exported_name_resolves():
-    assert [name for name in mcl.__all__ if not hasattr(mcl, name)] == []
-
-
 def test_package_stays_under_the_line_cap():
     # the standing cap on src/mcl: a change that adds code must make room
     lines = [line for path in sorted((ROOT / "src" / "mcl").glob("*.py"))
@@ -74,7 +69,6 @@ def test_benchmark_measures_the_default_run():
     # benchmark_config/benchmark_genspec are non-public aliases of the
     # classes, so perfbench's train workloads at seed 1 run exactly
     # TrainConfig() on GenSpec()
-    assert {"benchmark_config", "benchmark_genspec"}.isdisjoint(mcl.__all__)
     assert mcl.trainer.benchmark_config(seed=3) == TrainConfig(seed=3)
     assert _load_perfbench("worker").genspec("train-mcl-hard", 1) == GenSpec()
 
@@ -104,6 +98,19 @@ def test_fingerprint_hashes_the_tensors_in_a_fixed_order():
     # order, so a reorder would move every recorded fingerprint
     params = EncoderParams.random_init(3, 2, 2, np.random.default_rng(0))
     assert [name for name, _ in params.tensors()] == ["W1", "b1", "W2", "b2"]
+
+
+def test_import_loads_every_module():
+    # perfbench's setup_s times `import mcl` as a user's program runs it, so
+    # the bare import must keep loading the same modules; the package itself
+    # names only them, each function living under its module alone
+    out = _fresh_python(
+        "import json, sys, mcl\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.split('.')[0]"
+        " == 'mcl'), sorted(n for n in vars(mcl) if n[0] != '_')]))")
+    names = ["cluster", "data", "geometry", "losses", "metrics", "model",
+             "protobank", "trainer"]
+    assert json.loads(out) == [["mcl"] + [f"mcl.{n}" for n in names], names]
 
 
 def test_import_loads_no_scipy():

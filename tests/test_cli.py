@@ -4,6 +4,8 @@ import csv
 import json
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from mcl.metrics import compute_map_cmc
 from mcl.model import EncoderParams, load_checkpoint, save_checkpoint
 from mcl.trainer import NumericError, TrainConfig, holdout_split
 
-from .conftest import TINY_SPEC
+from .conftest import TINY_SPEC, pack_checkpoint, src_env
 
 
 def _save_encoder(path, w2):
@@ -374,6 +376,26 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_pass_out_of_memory_is_data_error(self, tmp_path):
+        # a real allocation failure, not a monkeypatch: the child caps its
+        # own address space at 1.5 GiB, and the all regime's first pass over
+        # 15 000 train rows asks numpy for a 1.68 GiB (15000, 15000) matrix
+        pool = tmp_path / "pool.mclf"
+        write_features(generate_pool(GenSpec(num_identities=667)), pool)
+        code = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+                "from mcl.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, "train", str(pool), "-o",
+             str(tmp_path / "r"), "--regime", "all", "--epochs", "2",
+             "--warmup-epochs", "1"],
+            env=src_env(), capture_output=True, text=True, timeout=300)
+        assert done.returncode == EXIT_DATA
+        assert "error: out of memory:" in done.stderr
+        assert "(15000, 15000)" in done.stderr
+        assert "Traceback" not in done.stderr
+
     @pytest.mark.parametrize("lr", ["nan", "-1"])
     def test_bad_lr_is_data_error(self, pool_file, tmp_path, lr):
         code = main(["train", pool_file, "-o", str(tmp_path / "r"),
@@ -663,7 +685,7 @@ class TestEvalAndDump:
         write_features(Pool(features, tiny_pool.identities), path)
         code = main(["eval", str(path), "--identity-init"])
         assert code == EXIT_DATA
-        assert "pre-normalization norm below 1e-12" in capsys.readouterr().err
+        assert "row norm below 1e-12" in capsys.readouterr().err
 
     def test_eval_trained_checkpoint(self, pool_file, tmp_path, capsys):
         # train's last evaluation and eval share one path and the default
@@ -718,11 +740,12 @@ class TestEvalAndDump:
     def test_non_finite_checkpoint_is_data_error(self, pool_file, tmp_path,
                                                  capsys, command):
         ckpt = tmp_path / "nan.mclp"
-        _save_encoder(ckpt, np.full((6, 8), np.nan))
+        pack_checkpoint(ckpt, np.eye(8), np.zeros(8), np.full((6, 8), np.nan),
+                        np.zeros(6))
         code = main([command, pool_file, "--checkpoint", str(ckpt),
                      "-o", str(tmp_path / "out")])
         assert code == EXIT_DATA
-        assert "non-finite" in capsys.readouterr().err
+        assert "non-finite values in W2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "dump-embeddings"])
     def test_checkpoint_of_another_width_is_data_error(self, pool_file,
@@ -751,7 +774,7 @@ class TestEvalAndDump:
         code = main([command, pool_file, "--checkpoint", str(ckpt),
                      "-o", str(tmp_path / "out")])
         assert code == EXIT_NUMERIC
-        assert "non-finite encoder output" in capsys.readouterr().err
+        assert "non-finite row" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fraction", ["-3", "1", "1.5"])
     def test_holdout_outside_unit_interval_is_data_error(self, pool_file,

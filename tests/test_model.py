@@ -24,6 +24,7 @@ from mcl.model import (
     save_checkpoint,
 )
 
+from .conftest import pack_checkpoint
 from .oracles import central_difference, relative_error
 
 
@@ -309,11 +310,24 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, rng, tmp_path, name, value):
+        # refused on write, before the file opens: no partial file is left
         params = _params(rng)
         getattr(params, name).flat[1] = value
         path = tmp_path / "x.mclp"
-        save_checkpoint(params, path)
-        with pytest.raises(FeatureFileError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"non-finite values in {name}"):
+            save_checkpoint(params, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_file_rejected_on_load(self, rng, tmp_path, name,
+                                              value):
+        params = _params(rng)
+        getattr(params, name).flat[1] = value
+        path = tmp_path / "x.mclp"
+        pack_checkpoint(path, *(t for _, t in params.tensors()))
+        with pytest.raises(FeatureFileError,
+                           match=f"non-finite values in {name}"):
             load_checkpoint(path)
 
     @given(seed=st.integers(0, 10_000), d_h=st.sampled_from([1, 3, 8]))
