@@ -1,10 +1,10 @@
 """Pairwise distances, kNN, k-reciprocal sets, and Jaccard distance.
 
 Everything here is the substrate DBScan runs on. Distance matrices are plain
-(n, n) float64 arrays, symmetric with a zero diagonal. Every n x n set of
-distance entries evaluated adds n^2 to the module's entry counter, whether or
-not the entries are ever stored together; the cost profiler reads it to
-reproduce the quadratic cost scaling of a clustering pass.
+(n, n) float64 arrays, symmetric with a zero diagonal, and the k-reciprocal
+set S(i) of point i holds i itself. Every n x n set of distance entries
+evaluated, stored or not, adds n^2 to the module's entry counter; the cost
+profiler reads it to reproduce the quadratic cost scaling of a pass.
 
 A clustering pass runs in row blocks, the fused cosine + kNN selection of
 `_cosine_knn` and then the Jaccard fill, on up to one worker thread per CPU in
@@ -14,7 +14,7 @@ count. The selection holds a float32 `_ROW_BLOCK` x n block per worker (5 MB
 at n = 10 000), every `_STRIDE`-th column and a 1-byte candidate mask; a
 float64 row sum breaks near-ties, and the float64 result follows the lists.
 `pairwise_cosine_distance` and `knn` are float64 references. scipy.sparse
-loads inside the functions that use it, so `import mcl` loads no scipy.
+loads inside `k_reciprocal_sets`, so `import mcl` loads no scipy.
 """
 
 from __future__ import annotations
@@ -133,39 +133,32 @@ def knn(d: np.ndarray, k: int) -> np.ndarray:
 
 
 def k_reciprocal_sets(knn_idx: np.ndarray):
-    """CSR adjacency R with R[i,j] iff j in knn(i) and i in knn(j)."""
+    """Binary symmetric CSR sets S with S[i,j] iff j = i, or j in knn(i) and
+    i in knn(j): each S(i) holds i itself, as in the re-ranking paper."""
     import scipy.sparse as sp
     n, k = knn_idx.shape
-    rows = np.repeat(np.arange(n, dtype=np.int64), k)
-    cols = knn_idx.ravel()
-    a = sp.csr_matrix(
-        (np.ones(n * k, dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
-    r = a.multiply(a.T).tocsr()
-    r.eliminate_zeros()
-    return r
+    rows = np.repeat(np.arange(n, dtype=np.int64), k + 1)
+    cols = np.column_stack([np.arange(n), knn_idx]).ravel()
+    a = sp.csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)),
+                      shape=(n, n))
+    return a.multiply(a.T).tocsr()
 
 
-def jaccard_distance(reciprocal) -> np.ndarray:
-    """1 - |S(i) & S(j)| / |S(i) | S(j)| over k-reciprocal sets.
+def jaccard_distance(sets) -> np.ndarray:
+    """1 - |S(i) & S(j)| / |S(i) | S(j)| over the `k_reciprocal_sets` matrix.
 
-    S(i) is row i of the `k_reciprocal_sets` adjacency plus {i} itself, so no
-    set is empty and each diagonal entry is 1 - |S(i)| / |S(i)| = 0 exactly.
-    Each `_map_row_blocks` row range counts its own intersections as one
-    sparse product (sets are tiny) and fills its rows of the dense result
-    from that product's CSR rows, so no whole-pass product is ever held.
+    Each S(i) holds i, so no set is empty and each diagonal entry is
+    1 - |S(i)| / |S(i)| = 0 exactly. As S is symmetric, each
+    `_map_row_blocks` row range counts its intersections as one sparse
+    product with S (sets are tiny) and fills its own rows from it, so no
+    whole-pass product is ever held.
     """
-    import scipy.sparse as sp
-    n = reciprocal.shape[0]
+    n = sets.shape[0]
     out = np.empty((n, n), dtype=np.float64)
-    s = reciprocal.astype(np.int32)  # counts <= n; halves the product's data
-    s = (s + sp.identity(n, dtype=np.int32, format="csr")).tocsr()
-    s.data[:] = 1
-    sizes = np.asarray(s.getnnz(axis=1), dtype=np.int64)
-    st = s.T.tocsr()  # the transpose, so any adjacency counts exactly
+    sizes = np.diff(sets.indptr)
 
     def fill(lo: int, hi: int) -> None:
-        inter = s[lo:hi] @ st
+        inter = sets[lo:hi] @ sets
         ptr, c, both = inter.indptr, inter.indices, inter.data
         rows = np.repeat(np.arange(lo, hi), np.diff(ptr))
         out[lo:hi] = 1.0
@@ -243,6 +236,9 @@ def clustering_distance(embeddings: np.ndarray, k: int) -> np.ndarray:
     gets n^2 for its entries; the Jaccard result is the pass's only n^2 buffer.
     """
     e = _unit_rows(embeddings)
+    # a result that cannot be allocated fails here, before the kNN work; the
+    # untouched pages add no RSS, and are freed at once
+    np.empty((e.shape[0], e.shape[0]))
     lists = _cosine_knn(e, k)
     ENTRY_COUNTER.add(e.shape[0] ** 2)
     return jaccard_distance(k_reciprocal_sets(lists))

@@ -379,13 +379,20 @@ class TestTrain:
     def test_pass_out_of_memory_is_data_error(self, tmp_path):
         # a real allocation failure, not a monkeypatch: the child caps its
         # own address space at 1.5 GiB, and the all regime's first pass over
-        # 15 000 train rows asks numpy for a 1.68 GiB (15000, 15000) matrix
+        # 15 000 train rows asks numpy for a 1.68 GiB (15000, 15000) matrix.
+        # The child counts kNN selections: the pass must fail before any
         pool = tmp_path / "pool.mclf"
         write_features(generate_pool(GenSpec(num_identities=667)), pool)
         code = ("import resource, sys\n"
                 "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+                "from mcl import geometry\n"
                 "from mcl.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))")
+                "calls, select = [], geometry._cosine_knn\n"
+                "geometry._cosine_knn = (lambda *a:\n"
+                "    calls.append(a) or select(*a))\n"
+                "status = main(sys.argv[1:])\n"
+                "print('kNN selections:', len(calls))\n"
+                "sys.exit(status)")
         done = subprocess.run(
             [sys.executable, "-c", code, "train", str(pool), "-o",
              str(tmp_path / "r"), "--regime", "all", "--epochs", "2",
@@ -395,6 +402,7 @@ class TestTrain:
         assert "error: out of memory:" in done.stderr
         assert "(15000, 15000)" in done.stderr
         assert "Traceback" not in done.stderr
+        assert "kNN selections: 0" in done.stdout
 
     @pytest.mark.parametrize("lr", ["nan", "-1"])
     def test_bad_lr_is_data_error(self, pool_file, tmp_path, lr):

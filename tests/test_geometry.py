@@ -88,7 +88,7 @@ class TestKnn:
             assert np.array_equal(knn(d, k), knn_full_sort(d, k))
 
     @pytest.mark.parametrize("k", [1, 30, 100])
-    def test_sampled_threshold_matches_full_sort(self, rng, k):
+    def test_quantized_ties_match_full_sort(self, rng, k):
         n = 650
         e = unit_rows(rng, n, 6)
         raw = rng.integers(0, 4, size=(n, n)).astype(np.float64)
@@ -143,14 +143,22 @@ class TestReciprocal:
             k = int(rng.integers(1, min(12, n - 1)))
             dm = pairwise_cosine_distance(unit_rows(rng, n, 5))
             lists = knn(dm, k)
-            recip = k_reciprocal_sets(lists)
-            assert recip.format == "csr"
-            got = recip.toarray().astype(bool)
-            assert np.array_equal(got, reciprocal_membership(lists))
+            sets = k_reciprocal_sets(lists)
+            assert sets.format == "csr"
+            got = sets.toarray().astype(bool)
+            want = reciprocal_membership(lists) | np.eye(n, dtype=bool)
+            assert np.array_equal(got, want)
 
     def test_mutuality_is_symmetric(self, rng):
+        # the set matrix jaccard_distance takes as it comes: binary CSR,
+        # each point in its own set, at most k + 1 entries a row
         dm = pairwise_cosine_distance(unit_rows(rng, 30, 5))
-        r = k_reciprocal_sets(knn(dm, 4)).toarray()
+        sets = k_reciprocal_sets(knn(dm, 4))
+        assert sets.format == "csr"
+        assert np.all(sets.data == 1)
+        assert np.diff(sets.indptr).max() <= 4 + 1
+        r = sets.toarray()
+        assert np.all(np.diag(r) == 1)
         assert np.array_equal(r, r.T)
 
 
@@ -160,9 +168,9 @@ class TestJaccard:
             n = int(rng.integers(6, 40))
             k = int(rng.integers(1, min(10, n - 1)))
             dm = pairwise_cosine_distance(unit_rows(rng, n, 5))
-            recip = k_reciprocal_sets(knn(dm, k))
-            got = jaccard_distance(recip)
-            want = jaccard_from_sets(recip.toarray().astype(bool))
+            sets = k_reciprocal_sets(knn(dm, k))
+            got = jaccard_distance(sets)
+            want = jaccard_from_sets(sets.toarray().astype(bool))
             assert np.allclose(got, want, atol=1e-12)
 
     def test_peak_memory_is_one_matrix_plus_block_products(self, rng):
@@ -170,25 +178,15 @@ class TestJaccard:
         # product and its fill temporaries; the sets are built untraced, so
         # only jaccard_distance's own allocations count
         n = 3000
-        recip = k_reciprocal_sets(
+        sets = k_reciprocal_sets(
             knn(pairwise_cosine_distance(unit_rows(rng, n, 64)), 30))
         tracemalloc.start()
         try:
-            jaccard_distance(recip)
+            jaccard_distance(sets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.15 * n * n * 8
-
-    def test_asymmetric_adjacency_matches_set_oracle(self, rng):
-        # row i's set need not contain j when row j's contains i, so a product
-        # that used the adjacency in place of its transpose would miscount
-        import scipy.sparse as sp
-        a = rng.random((40, 40)) < 0.15
-        np.fill_diagonal(a, False)
-        assert not np.array_equal(a, a.T)
-        got = jaccard_distance(sp.csr_matrix(a.astype(np.int8)))
-        assert np.allclose(got, jaccard_from_sets(a), atol=1e-12)
 
     def test_range_and_diagonal(self, rng):
         dm = pairwise_cosine_distance(unit_rows(rng, 30, 6))
