@@ -10,11 +10,10 @@ A clustering pass runs in row blocks, the fused cosine + kNN selection of
 `_cosine_knn` and then the Jaccard fill, on up to one worker thread per CPU in
 the process's affinity mask; the numpy calls release the GIL, and each block
 writes only its own rows, so results are bitwise the same for any worker
-count. The selection holds a float32 `_ROW_BLOCK` x n block per worker (5 MB
-at n = 10 000), every `_STRIDE`-th column and a 1-byte candidate mask; a
-float64 row sum breaks near-ties, and the float64 result follows the lists.
-`pairwise_cosine_distance` and `knn` are float64 references. scipy.sparse
-loads inside `k_reciprocal_sets`, so `import mcl` loads no scipy.
+count. The pass's one n x n array holds each block's float32 cosine rows,
+column sample and candidate mask until the Jaccard fill overwrites them; a
+float64 row sum breaks near-ties. `pairwise_cosine_distance` and `knn` are
+float64 references. scipy.sparse loads in `k_reciprocal_sets`, not at import.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ import os
 
 import numpy as np
 
-# rows per block. Keep it small: glibc keeps each worker thread's freed blocks
-# in that thread's own malloc arena, so 256 rows cost 7 MiB more peak RSS than
-# 128 on a benchmark training run, for no speed. No result depends on it
+# rows per block. The selection's scratch lives in the result's own rows, so
+# the height sizes only small per-block arrays. No result depends on it
 _ROW_BLOCK = 128
 # the kNN selection samples every _STRIDE-th column of a row for its threshold
 _STRIDE = 8
@@ -134,27 +132,30 @@ def knn(d: np.ndarray, k: int) -> np.ndarray:
 
 def k_reciprocal_sets(knn_idx: np.ndarray):
     """Binary symmetric CSR sets S with S[i,j] iff j = i, or j in knn(i) and
-    i in knn(j): each S(i) holds i itself, as in the re-ranking paper."""
+    i in knn(j): each S(i) holds i itself, as in the re-ranking paper. Each
+    row of knn_idx must hold k distinct neighbours, self excluded."""
     import scipy.sparse as sp
     n, k = knn_idx.shape
-    rows = np.repeat(np.arange(n, dtype=np.int64), k + 1)
-    cols = np.column_stack([np.arange(n), knn_idx]).ravel()
-    a = sp.csr_matrix((np.ones(rows.size, dtype=np.int32), (rows, cols)),
-                      shape=(n, n))
+    cols = np.sort(np.column_stack([np.arange(n), knn_idx]), axis=1).ravel()
+    a = sp.csr_matrix((np.ones(cols.size, dtype=np.int32), cols,
+                       np.arange(0, cols.size + 1, k + 1)), shape=(n, n))
     return a.multiply(a.T).tocsr()
 
 
-def jaccard_distance(sets) -> np.ndarray:
+def jaccard_distance(sets, out=None) -> np.ndarray:
     """1 - |S(i) & S(j)| / |S(i) | S(j)| over the `k_reciprocal_sets` matrix.
 
     Each S(i) holds i, so no set is empty and each diagonal entry is
     1 - |S(i)| / |S(i)| = 0 exactly. As S is symmetric, each
     `_map_row_blocks` row range counts its intersections as one sparse
     product with S (sets are tiny) and fills its own rows from it, so no
-    whole-pass product is ever held.
+    whole-pass product is ever held. It fills `out`, if given.
     """
     n = sets.shape[0]
-    out = np.empty((n, n), dtype=np.float64)
+    out = np.empty((n, n)) if out is None else out
+    if not (isinstance(out, np.ndarray) and out.shape == (n, n)
+            and out.dtype == np.float64 and out.flags.c_contiguous):
+        raise ValueError(f"out must be C-contiguous float64 ({n}, {n})")
     sizes = np.diff(sets.indptr)
 
     def fill(lo: int, hi: int) -> None:
@@ -178,8 +179,9 @@ def _rescore(e: np.ndarray, i: int, cols: np.ndarray, k: int) -> np.ndarray:
     return cols[np.argsort(x, kind="stable")[:k]]
 
 
-def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
-    """kNN lists of the unit rows e, selected in `_map_row_blocks` row blocks.
+def _cosine_knn(e: np.ndarray, k: int, buf: np.ndarray) -> np.ndarray:
+    """kNN lists of the unit rows e, selected in `_map_row_blocks` row blocks
+    that work in the same rows of buf, a C-contiguous float64 (n, n) array.
 
     Each block is 1 - e32 @ e32.T in float32, every entry within delta =
     `_float32_bound(d)` of its float64 value. A row's threshold t is the q-th
@@ -198,20 +200,28 @@ def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
     e32 = e.astype(np.float32)
     bound = 2.0 * _float32_bound(e.shape[1])
     out = np.empty((n, k), dtype=np.int64)
-    q = min((k + 1) // 4 + 6, -(-n // _STRIDE))  # clipped to the sample
+    ns = -(-n // _STRIDE)  # the sampled columns of a row
+    q = min((k + 1) // 4 + 6, ns)  # clipped to the sample
 
     def select(lo: int, hi: int) -> None:
-        block = e32[lo:hi] @ e32.T
+        # the rows' 2 m n float32s hold the block, the sample, the 1-byte mask
+        m = hi - lo
+        raw = buf[lo:hi].reshape(-1).view(np.float32)
+        block = np.matmul(e32[lo:hi], e32.T, out=raw[:m * n].reshape(m, n))
         np.subtract(1.0, block, out=block)
         np.fill_diagonal(block[:, lo:hi], np.inf)  # exclude self
-        t = np.partition(block[:, ::_STRIDE], q - 1, axis=1)[:, q - 1]
+        sample = raw[m * n:m * (n + ns)].reshape(m, ns)
+        np.copyto(sample, block[:, ::_STRIDE])
+        sample.partition(q - 1, axis=1)
+        mask = raw[m * (n + ns):].view(bool)[:m * n].reshape(m, n)
+        np.less_equal(block, sample[:, q - 1:q], out=mask)
         # flat indices keep row-major order, so each row's columns ascend
-        rows, cols = np.divmod(np.flatnonzero(block <= t[:, None]), n)
-        counts = np.bincount(rows, minlength=hi - lo)
+        rows, cols = np.divmod(np.flatnonzero(mask), n)
+        counts = np.bincount(rows, minlength=m)
         starts = np.cumsum(counts) - counts
         at = np.arange(rows.size) - starts[rows]
         # +inf pads sort after every candidate: the sort is stable
-        vals = np.full((hi - lo, max(k + 1, counts.max())), np.inf)
+        vals = np.full((m, max(k + 1, counts.max())), np.inf)
         vals[rows, at] = block[rows, cols]
         cand = np.zeros(vals.shape, dtype=np.int64)
         cand[rows, at] = cols
@@ -219,7 +229,7 @@ def _cosine_knn(e: np.ndarray, k: int) -> np.ndarray:
         near = np.take_along_axis(vals, order, axis=1)
         out[lo:hi] = np.take_along_axis(cand, order[:, :k], axis=1)
         # a row short of k + 1 candidates keeps gap 0: its pads make inf - inf
-        gap = np.subtract(near[:, k], near[:, k - 1], out=np.zeros(hi - lo),
+        gap = np.subtract(near[:, k], near[:, k - 1], out=np.zeros(m),
                           where=counts > k)
         for r in np.flatnonzero(gap <= bound):
             window = np.flatnonzero(block[r] <= near[r, k - 1] + bound)
@@ -236,9 +246,9 @@ def clustering_distance(embeddings: np.ndarray, k: int) -> np.ndarray:
     gets n^2 for its entries; the Jaccard result is the pass's only n^2 buffer.
     """
     e = _unit_rows(embeddings)
-    # a result that cannot be allocated fails here, before the kNN work; the
-    # untouched pages add no RSS, and are freed at once
-    np.empty((e.shape[0], e.shape[0]))
-    lists = _cosine_knn(e, k)
+    # the pass's one n x n buffer, taken first so a pass without the memory
+    # fails before the kNN work; the selection works in it, then the result
+    out = np.empty((e.shape[0], e.shape[0]))
+    lists = _cosine_knn(e, k, out)
     ENTRY_COUNTER.add(e.shape[0] ** 2)
-    return jaccard_distance(k_reciprocal_sets(lists))
+    return jaccard_distance(k_reciprocal_sets(lists), out)

@@ -108,9 +108,29 @@ class TestKnn:
         e = _grouped(rng, n, 6) if rows == "grouped" else unit_rows(rng, n, 6)
         if rows == "duplicated":
             e = e[rng.integers(0, n // 3, size=n)]
-        got = geometry._cosine_knn(e, k)
         want = knn(cosine_rowsum(e), k)
-        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+        # the selection works in the buffer's rows: stale NaN scratch there
+        # must never reach a list
+        for buf in (np.empty((n, n)), np.full((n, n), np.nan)):
+            got = geometry._cosine_knn(e, k, buf)
+            assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+    def test_cosine_knn_allocates_no_row_block(self, rng, monkeypatch):
+        # the float32 block, column sample and mask live in the buffer's
+        # rows; at n large beside d and k, what the selection still allocates
+        # (inputs, lists, per-row candidates) stays below one worker's
+        # 128 x n float32 block, where holding its own blocks took about two
+        monkeypatch.setattr(geometry, "_worker_count", lambda: 2)
+        n = 6000
+        e = unit_rows(rng, n, 8)
+        buf = np.empty((n, n))
+        tracemalloc.start()
+        try:
+            geometry._cosine_knn(e, 5, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < geometry._ROW_BLOCK * n * 4
 
     def test_non_finite_distances_rejected(self):
         # self is excluded by a +inf entry, which a +inf or NaN entry at a
@@ -188,6 +208,17 @@ class TestJaccard:
             tracemalloc.stop()
         assert peak < 1.15 * n * n * 8
 
+    @pytest.mark.parametrize("out", [
+        np.empty((30, 29)), np.empty((30, 30), dtype=np.float32),
+        np.empty((30, 60))[:, ::2], np.empty((30, 30)).T, [[0.0] * 30] * 30],
+        ids=["shape", "float32", "strided", "transposed", "list"])
+    def test_bad_out_rejected(self, rng, out):
+        dm = pairwise_cosine_distance(unit_rows(rng, 30, 6))
+        sets = k_reciprocal_sets(knn(dm, 5))
+        with pytest.raises(ValueError, match=re.escape(
+                "out must be C-contiguous float64 (30, 30)")):
+            jaccard_distance(sets, out)
+
     def test_range_and_diagonal(self, rng):
         dm = pairwise_cosine_distance(unit_rows(rng, 30, 6))
         j = jaccard_distance(k_reciprocal_sets(knn(dm, 5)))
@@ -232,9 +263,10 @@ class TestPipeline:
             clustering_distance(e, k=0)
 
     def test_peak_memory_is_one_matrix_plus_a_row_block(self):
-        # the Jaccard result is the only n x n matrix, allocated after the
-        # kNN lists; each worker adds its float32 cosine block, its candidate
-        # mask and sampled columns, about 5.5 x 128 bytes per column
+        # the Jaccard result is the only n x n matrix, allocated before the
+        # kNN work, whose float32 blocks, samples and masks live in its rows;
+        # on top of it come each worker's per-row candidates, the sets and
+        # each worker's Jaccard block product
         pool = generate_pool(GenSpec(num_identities=100, samples_per_identity=30,
                                      d_raw=64, intra_class_sigma=0.15, seed=1))
         x = pool.features.astype(np.float64)
@@ -275,7 +307,7 @@ class TestWorkers:
         for workers in (1, 2, 3):
             monkeypatch.setattr(geometry, "_worker_count", lambda: workers)
             got.append((clustering_distance(e, k=k),
-                        geometry._cosine_knn(e, k)))
+                        geometry._cosine_knn(e, k, np.empty((n, n)))))
         for entries, lists in got[1:]:
             assert np.array_equal(entries, got[0][0])
             assert np.array_equal(lists, got[0][1])
@@ -360,7 +392,7 @@ class TestFloat32Gap:
             r /= np.linalg.norm(r, axis=1, keepdims=True)
             d = pairwise_cosine_distance(r)
             assert 0.0 < d[0, k] - d[0, n - 1] < bound
-            got = geometry._cosine_knn(r, k)
+            got = geometry._cosine_knn(r, k, np.empty((n, n)))
             want = knn(d, k)
             assert set(got[0]) == set(range(1, k)) | {n - 1}
             assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
@@ -398,7 +430,8 @@ class TestFloat32Gap:
             got = []
             for height in (64, 128, 256):
                 monkeypatch.setattr(geometry, "_ROW_BLOCK", height)
-                got.append((np.sort(geometry._cosine_knn(e, 30), axis=1),
+                lists = geometry._cosine_knn(e, 30, np.empty((n, n)))
+                got.append((np.sort(lists, axis=1),
                             clustering_distance(e, k=30)))
             for lists, entries in got[1:]:
                 assert np.array_equal(lists, got[0][0])

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/ at tiny sizes."""
 
 import csv
+import importlib.util
 import re
 import subprocess
 import sys
@@ -42,6 +43,8 @@ def test_sweep_dbscan(tmp_path):
 @pytest.mark.parametrize("script,args", [
     ("profile_scaling.py", ["--siz", "300"]),
     ("sweep_dbscan.py", ["--num-id", "10"]),
+    ("bench_pairs.py", ["a", "b", "--workload", "cluster-10k", "--seed", "1",
+                        "--pair", "2"]),
 ])
 def test_abbreviated_flag_is_usage_error(script, args):
     done = _run(script, *args)
@@ -88,6 +91,52 @@ def test_out_of_range_value_is_usage_error(script, args, message):
     assert done.returncode == 2
     assert message in done.stderr
     assert done.stdout == ""
+
+
+def _canned(peak, quality=0.5, failed=0):
+    """One perfbench --trace 0 result line, as bench_pairs reads it."""
+    return {"attempted": 3, "failed": failed,
+            "metrics": {"peak_rss_mb": {"value": peak, "unit": "MiB"},
+                        "quality": {"value": quality, "unit": "fraction"}}}
+
+
+def test_bench_pairs_summary_on_canned_runs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+               {"name": "quality", "better": "higher", "bound": 0.15}]
+    parent = [_canned(100.0 + i) for i in range(10)]
+    change = [_canned(95.0 + i) for i in range(9)] + [_canned(110.0, failed=1)]
+    got = bench.summarize({"parent": parent, "change": change}, metrics)
+    peak = got["peak_rss_mb"]
+    assert got["pairs"] == 10
+    assert peak["parent"]["runs"] == [100.0 + i for i in range(10)]
+    assert (peak["parent"]["q1"], peak["parent"]["median"],
+            peak["parent"]["q3"]) == (102.25, 104.5, 106.75)
+    assert peak["change"]["median"] == 99.5
+    # 9 of 10 pairs won, and a gap of 5 beside the parent's spread of 4.5
+    assert peak["change_wins"] == 9 and peak["claim_holds"]
+    assert not peak["worse_beyond_bound"]
+    quality = got["quality"]  # higher is better; equal runs win nothing
+    assert quality["change_wins"] == 0 and not quality["claim_holds"]
+    assert not quality["worse_beyond_bound"]
+    assert got["change"] == {"failed": 1, "attempted": 30, "failed_runs": 0}
+    # 8 of 10 pairs won is no claim, however wide the gap
+    eight = change[:8] + [_canned(110.0)] * 2
+    got = bench.summarize({"parent": parent, "change": eight}, metrics)
+    assert got["peak_rss_mb"]["change_wins"] == 8
+    assert not got["peak_rss_mb"]["claim_holds"]
+    # a run that failed drops its pair from every metric
+    got = bench.summarize({"parent": parent[:9] + [None], "change": change},
+                          metrics)
+    assert got["pairs"] == 9 and len(got["peak_rss_mb"]["parent"]["runs"]) == 9
+    assert got["parent"] == {"failed": 0, "attempted": 27, "failed_runs": 1}
+    # 20% above the parent's median is beyond the 0.15 bound
+    worse = [_canned(125.4)] * 10
+    got = bench.summarize({"parent": parent, "change": worse}, metrics)
+    assert got["peak_rss_mb"]["worse_beyond_bound"]
 
 
 def test_readme_names_every_script():
