@@ -50,9 +50,10 @@ def dbscan(d: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     rows, cols = np.divmod(np.concatenate(flat), n)
     core = np.bincount(rows, minlength=n) - 1 >= min_pts
 
-    linked = core[rows] & core[cols]
-    graph = sp.csr_matrix((np.ones(linked.sum(), dtype=bool),
-                           (rows[linked], cols[linked])), shape=(n, n))
+    linked = core[rows] & core[cols]  # row-major, columns ascending: CSR
+    indptr = np.r_[0, np.cumsum(np.bincount(rows[linked], minlength=n))]
+    graph = sp.csr_matrix((np.ones(indptr[-1], dtype=bool), cols[linked],
+                           indptr), shape=(n, n))
     _, component = connected_components(graph, directed=False)
     core_idx = np.flatnonzero(core)
     _, first, inverse = np.unique(component[core_idx], return_index=True,
@@ -60,10 +61,9 @@ def dbscan(d: np.ndarray, eps: float, min_pts: int) -> ClusterAssignment:
     # scipy's component numbering is not the contract: rank by first core
     labels[core_idx] = np.argsort(np.argsort(first))[inverse]
 
-    # border points: the lowest-index core within eps wins
+    # border points: the lowest-index core within eps, the row's first pair
     border = ~core[rows] & core[cols]
-    nearest = np.full(n, n, dtype=np.int64)
-    np.minimum.at(nearest, rows[border], cols[border])
-    hit = np.flatnonzero(nearest < n)
-    labels[hit] = labels[nearest[hit]]
+    b_rows, b_cols = rows[border], cols[border]
+    starts = np.flatnonzero(np.diff(b_rows, prepend=-1))
+    labels[b_rows[starts]] = labels[b_cols[starts]]
     return ClusterAssignment(labels=labels, num_clusters=first.size)

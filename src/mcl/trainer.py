@@ -128,23 +128,27 @@ def epoch_split(n_samples: int, n_subsets: int,
     return np.array_split(perm, n_subsets)
 
 
-def pk_sample(labels: np.ndarray, p: int, i: int,
-              rng: np.random.Generator) -> np.ndarray:
-    """Positions for a PK batch: p labels, i instances each.
+def label_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Each distinct label's positions, ascending, with the groups in label
+    order: one stable sort, cut where the label changes."""
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    return np.split(order, cuts) if order.size else []
 
-    Labels are drawn without replacement; instances without replacement
-    unless the label has fewer than i members, then with.
+
+def pk_sample(groups: list[np.ndarray], p: int, i: int,
+              rng: np.random.Generator) -> np.ndarray:
+    """Positions for a PK batch: p of the `label_groups`, i positions each.
+
+    Groups are drawn without replacement; positions without replacement
+    unless the group has fewer than i members, then with.
     """
-    labels = np.asarray(labels)
-    distinct = np.unique(labels)
-    if distinct.size < p:
-        raise ValueError(f"need >= {p} distinct labels, have {distinct.size}")
-    chosen = rng.choice(distinct, size=p, replace=False)
-    picks = []
-    for lab in chosen:
-        members = np.flatnonzero(labels == lab)
-        picks.append(rng.choice(members, size=i, replace=members.size < i))
-    return np.concatenate(picks)
+    if len(groups) < p:
+        raise ValueError(f"need >= {p} distinct labels, have {len(groups)}")
+    return np.concatenate([
+        rng.choice(groups[c], size=i, replace=groups[c].size < i)
+        for c in rng.choice(len(groups), size=p, replace=False)])
 
 
 @dataclass
@@ -194,12 +198,12 @@ def run_phase1_epoch(features: np.ndarray, params: EncoderParams,
     bank = PrototypeBank.from_clusters(emb, assignment.labels,
                                        momentum=config.momentum_m)
     kept = np.flatnonzero(assignment.labels >= 0)
-    kept_labels = assignment.labels[kept]
+    groups = label_groups(assignment.labels[kept])
     p_eff = min(config.p_identities, bank.num_classes)
     num_batches = math.ceil(kept.size / (config.p_identities * config.i_instances))
     losses = []
     for _ in range(num_batches):
-        local = pk_sample(kept_labels, p_eff, config.i_instances, rng)
+        local = pk_sample(groups, p_eff, config.i_instances, rng)
         batch = kept[local]
         batch_labels = assignment.labels[batch]
         v, cache = encode_forward(params, features[batch])
@@ -249,11 +253,12 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
         warnings.warn("phase 2 with a single prototype: triplet term skipped")
     per_identity = config.i2_instances // 2  # distinct samples; 2 views each
     num_batches = math.ceil(positions.size / (config.p2_identities * per_identity))
-    p_eff = min(config.p2_identities, np.unique(ids).size)
+    groups = label_groups(ids)
+    p_eff = min(config.p2_identities, len(groups))
     losses = []
     skipped = 0
     for _ in range(num_batches):
-        local = pk_sample(ids, p_eff, per_identity, rng)
+        local = pk_sample(groups, p_eff, per_identity, rng)
         raw = pool_features[positions[local]]
         batch_ids = ids[local]
         view_a = augment_batch(raw, rng, config.sigma_aug, config.drop_p)
@@ -263,7 +268,7 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
         v2, cache = encode_forward(params, np.concatenate([view_a, view_b]))
         no_grad = LossValue(0.0, np.zeros_like(v2))
         l_sc = no_grad if regime == "no_sc" else siamese_consistency_batch(v2, bank)
-        if k_classes >= 2 and np.unique(batch_ids).size >= 2:
+        if k_classes >= 2 and p_eff >= 2:  # a batch holds p_eff identities
             l_tri = soft_weighted_triplet_batch(
                 v2, np.concatenate([batch_ids, batch_ids]), config.margin,
                 soft_weight=regime != "plain")
@@ -348,23 +353,18 @@ def holdout_split(pool: Pool, holdout_fraction: float) -> tuple[np.ndarray, np.n
     """
     if not 0.0 <= holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in [0, 1), got {holdout_fraction}")
-    ids = pool.identities
-    ranked = np.unique(ids)
-    cut = max(int(round(ranked.size * (1.0 - holdout_fraction))), 1)
-    held = np.isin(ids, ranked[cut:])
-    train_pos = np.flatnonzero(~held)
-    eval_pos = np.flatnonzero(held) if holdout_fraction > 0 else train_pos
-    query, gallery = [], []
-    for ident in np.unique(ids[eval_pos]):
-        rows = eval_pos[ids[eval_pos] == ident]
-        if rows.size < 2:
-            continue  # nothing to retrieve for a singleton identity
-        query.append(rows[0])  # rows ascend: flatnonzero keeps pool order
-        gallery.extend(rows[1:])
-    if len(query) < 2:  # one identity retrieves itself: mAP 1.0, vacuously
-        raise ValueError(f"no evaluable retrieval: {len(query)} evaluated "
+    groups = label_groups(pool.identities)  # the identities ranked by id
+    cut = max(int(round(len(groups) * (1.0 - holdout_fraction))), 1)
+    # a singleton identity has nothing to retrieve
+    evaluated = [g for g in (groups[cut:] if holdout_fraction > 0 else groups)
+                 if g.size >= 2]
+    if len(evaluated) < 2:  # one identity retrieves itself: mAP 1.0, vacuously
+        raise ValueError(f"no evaluable retrieval: {len(evaluated)} evaluated "
                          "identities with >= 2 samples each, need 2")
-    return train_pos, np.array(query), np.array(gallery)
+    # each group ascends, so its first row is the identity's lowest position
+    query = np.array([g[0] for g in evaluated])
+    gallery = np.concatenate([g[1:] for g in evaluated])
+    return np.sort(np.concatenate(groups[:cut])), query, gallery
 
 
 def evaluate(params: EncoderParams | None, pool: Pool, query_pos: np.ndarray,

@@ -81,6 +81,45 @@ def dbscan_reference(dist, eps, min_pts):
     return labels
 
 
+def pk_sample_reference(labels, p, i, rng):
+    """PK positions by scanning the label array per drawn label: p distinct
+    labels without replacement, then i positions of each, with replacement
+    only when the label has fewer than i."""
+    labels = np.asarray(labels)
+    distinct = np.unique(labels)
+    if distinct.size < p:
+        raise ValueError(f"need >= {p} distinct labels, have {distinct.size}")
+    chosen = rng.choice(distinct, size=p, replace=False)
+    picks = []
+    for lab in chosen:
+        members = np.flatnonzero(labels == lab)
+        picks.append(rng.choice(members, size=i, replace=members.size < i))
+    return np.concatenate(picks)
+
+
+def holdout_split_reference(ids, holdout_fraction):
+    """Train, query and gallery positions by a loop over the identities:
+    the top fraction of the distinct ids is held out (none at 0, where the
+    train rows are evaluated), and each evaluated identity with >= 2 rows
+    gives its lowest position as the query and the rest as gallery."""
+    ranked = np.unique(ids)
+    cut = max(int(round(ranked.size * (1.0 - holdout_fraction))), 1)
+    held = np.isin(ids, ranked[cut:])
+    train_pos = np.flatnonzero(~held)
+    eval_pos = np.flatnonzero(held) if holdout_fraction > 0 else train_pos
+    query, gallery = [], []
+    for ident in np.unique(ids[eval_pos]):
+        rows = eval_pos[ids[eval_pos] == ident]
+        if rows.size < 2:
+            continue
+        query.append(rows[0])
+        gallery.extend(rows[1:])
+    if len(query) < 2:
+        raise ValueError(f"no evaluable retrieval: {len(query)} evaluated "
+                         "identities with >= 2 samples each, need 2")
+    return train_pos, np.array(query), np.array(gallery)
+
+
 def partitions_match(a, b):
     """Same outlier set and same grouping up to a relabeling bijection."""
     a = np.asarray(a)

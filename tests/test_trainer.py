@@ -1,6 +1,7 @@
 """Split plans, PK sampling, widening, the two phases, and full runs."""
 
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -22,6 +23,7 @@ from mcl.trainer import (
     _cluster_with_widening,
     epoch_split,
     holdout_split,
+    label_groups,
     pk_sample,
     run_phase1_epoch,
     run_phase2_epoch,
@@ -29,6 +31,7 @@ from mcl.trainer import (
 )
 
 from .conftest import unit_rows
+from .oracles import holdout_split_reference, pk_sample_reference
 
 
 def _fast_config(**overrides):
@@ -121,7 +124,7 @@ class TestEpochSplit:
 class TestPkSample:
     def test_composition(self, rng):
         labels = np.repeat(np.arange(6), 10)
-        pos = pk_sample(labels, p=3, i=4, rng=rng)
+        pos = pk_sample(label_groups(labels), p=3, i=4, rng=rng)
         assert pos.shape == (12,)
         chosen = labels[pos]
         uniq, counts = np.unique(chosen, return_counts=True)
@@ -131,18 +134,18 @@ class TestPkSample:
     def test_without_replacement_when_enough_members(self, rng):
         labels = np.repeat(np.arange(3), 8)
         for _ in range(20):
-            pos = pk_sample(labels, p=2, i=8, rng=rng)
+            pos = pk_sample(label_groups(labels), p=2, i=8, rng=rng)
             assert np.unique(pos).size == pos.size
 
     def test_replacement_only_when_scarce(self, rng):
         labels = np.array([0, 0, 1])  # label 1 has a single member
-        pos = pk_sample(labels, p=2, i=2, rng=rng)
+        pos = pk_sample(label_groups(labels), p=2, i=2, rng=rng)
         assert labels[pos].tolist().count(1) == 2
         assert (pos == 2).sum() == 2  # the lone member repeats
 
     def test_needs_enough_labels(self, rng):
         with pytest.raises(ValueError):
-            pk_sample(np.array([0, 0, 1]), p=3, i=1, rng=rng)
+            pk_sample(label_groups(np.array([0, 0, 1])), p=3, i=1, rng=rng)
 
     def test_label_choice_is_uniform(self):
         rng = np.random.default_rng(0)
@@ -150,11 +153,63 @@ class TestPkSample:
         hits = np.zeros(6)
         trials = 3000
         for _ in range(trials):
-            chosen = np.unique(labels[pk_sample(labels, p=2, i=1, rng=rng)])
+            chosen = np.unique(
+                labels[pk_sample(label_groups(labels), p=2, i=1, rng=rng)])
             hits[chosen] += 1
         expect = trials * 2 / 6
         sd = np.sqrt(trials * (2 / 6) * (1 - 2 / 6))
         assert np.all(np.abs(hits - expect) < 5 * sd)
+
+    def test_equals_the_scanning_reference(self):
+        # sparse, unordered label values; a singleton label, so that the
+        # with-replacement path runs; p up to every label
+        gen = np.random.default_rng(11)
+        for trial in range(60):
+            m = int(gen.integers(1, 12))
+            counts = gen.integers(1, 6, size=m)
+            counts[0] = 1
+            labels = gen.permutation(
+                np.repeat(gen.choice(1000, size=m, replace=False), counts))
+            p = m if trial % 3 == 0 else int(gen.integers(1, m + 1))
+            i = int(gen.integers(1, 6))
+            ours, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+            got = pk_sample(label_groups(labels), p, i, ours)
+            want = pk_sample_reference(labels, p, i, ref)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_a_draw_does_not_scan_the_labels(self):
+        # 200 000 rows in 2 000 labels: one np.unique copy of them is 1.6 MB
+        labels = np.random.default_rng(0).permutation(
+            np.repeat(np.arange(2000), 100))
+        groups = label_groups(labels)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            pk_sample(groups, 16, 2, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+
+class TestLabelGroups:
+    def test_groups_partition_the_positions_in_label_order(self):
+        gen = np.random.default_rng(12)
+        for _ in range(40):
+            values = gen.choice(1000, size=8, replace=False)
+            labels = gen.choice(values, size=int(gen.integers(1, 80)))
+            groups = label_groups(labels)
+            assert np.array_equal(np.sort(np.concatenate(groups)),
+                                  np.arange(labels.size))
+            # one label per group, ascending positions, labels increasing
+            assert np.all(np.diff([labels[g[0]] for g in groups]) > 0)
+            for g in groups:
+                assert np.all(np.diff(g) > 0)
+                assert np.all(labels[g] == labels[g[0]])
+
+    def test_empty_labels_give_no_groups(self):
+        assert label_groups(np.array([], dtype=np.int64)) == []
 
 
 class TestWidening:
@@ -322,7 +377,8 @@ class TestPhase2:
         # the same draws, each view through its own forward and backward
         ids = bank.harden(bank.soft_label_batch(encode_batch(params, feats)))
         draw = np.random.default_rng(4)
-        local = pk_sample(ids, min(4, np.unique(ids).size), 2, draw)
+        groups = label_groups(ids)
+        local = pk_sample(groups, min(4, len(groups)), 2, draw)
         view_a = augment_batch(feats[local], draw, cfg.sigma_aug, cfg.drop_p)
         view_b = augment_batch(feats[local], draw, cfg.sigma_aug, cfg.drop_p)
         va, cache_a = encode_forward(params, view_a)
@@ -405,6 +461,39 @@ class TestHoldout:
         pool = Pool(feats, np.array([0, 0, 1]))  # identity 1 is a singleton
         with pytest.raises(ValueError, match="no evaluable"):
             holdout_split(pool, 0.4)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.75])
+    def test_equals_the_identity_loop_reference(self, fraction):
+        # sparse, unordered ids with 1-4 rows each, singletons among them
+        gen = np.random.default_rng(13)
+        refused = 0
+        for _ in range(40):
+            m = int(gen.integers(2, 20))
+            ids = gen.permutation(np.repeat(gen.choice(500, size=m, replace=False),
+                                            gen.integers(1, 5, size=m)))
+            pool = Pool(np.zeros((ids.size, 2), dtype=np.float32), ids)
+            try:
+                want = holdout_split_reference(ids, fraction)
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(ValueError) as got:
+                    holdout_split(pool, fraction)
+                assert str(got.value) == str(exc)
+                continue
+            for got, ref in zip(holdout_split(pool, fraction), want):
+                assert np.array_equal(got, ref) and got.dtype == ref.dtype
+        assert refused < 20
+
+    @pytest.mark.parametrize("ids", [np.arange(6), np.array([], dtype=np.int64)],
+                             ids=["all-singleton", "0-row"])
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    def test_refusal_reads_as_the_reference(self, ids, fraction):
+        pool = Pool(np.zeros((ids.size, 2), dtype=np.float32), ids)
+        with pytest.raises(ValueError) as want:
+            holdout_split_reference(ids, fraction)
+        with pytest.raises(ValueError, match="no evaluable") as got:
+            holdout_split(pool, fraction)
+        assert str(got.value) == str(want.value)
 
 
 class TestTrain:
