@@ -162,7 +162,7 @@ def generate_pool(spec: GenSpec) -> Pool:
 
 def write_features(pool: Pool, path) -> None:
     """Write a pool, identities included, as an MCLF file (bit-exact round
-    trip with read_features)."""
+    trip with load_pool)."""
     if (pool.identities >= 1 << 32).any():
         raise ValueError("an identity of 2**32 or more overflows MCLF's labels")
     with open(path, "wb") as fh:
@@ -197,7 +197,7 @@ def read_layout(path, magic: bytes, header: struct.Struct, version: int,
     return fields, body
 
 
-def read_features(path) -> Pool:
+def load_pool(path) -> Pool:
     """Read an MCLF pool; raises distinct errors for each malformation, and
     FeatureFileError for a file without identity labels."""
     def payload_size(flags, n, d):
@@ -211,7 +211,3 @@ def read_features(path) -> Pool:
     features = np.frombuffer(body, dtype="<f4", count=n * d).reshape(n, d).copy()
     identities = np.frombuffer(body, dtype="<u4", offset=n * d * 4).astype(np.int64)
     return Pool(features, identities)
-
-
-# the one pool reader, under the name the verbs and perfbench look up
-load_pool = read_features

@@ -1,12 +1,15 @@
 """Evaluation: retrieval mAP/CMC, clustering quality, and the cost profiler.
 
-Retrieval follows the usual closed-set protocol: rank the gallery by
-ascending cosine distance, AP = mean of precision at each relevant rank
-divided by the relevant count, CMC(k) = fraction of queries with a hit in
-the top k. Clustering quality is pairwise precision/recall/F plus ARI, with
-outliers treated as singleton clusters. The profiler wraps one distance +
-density-clustering pass and reports the exact pairwise-entry count (2 n^2
-per pass), the analytic byte model (entries x 8), and median wall time.
+Retrieval follows the usual closed-set protocol: one stable sort ranks every
+query's gallery by ascending cosine distance (ties keep gallery order), AP =
+mean of precision at each relevant rank divided by the relevant count, CMC(k)
+= fraction of queries with a hit in the top k. Clustering quality is pairwise
+precision/recall/F plus ARI, read off one predicted x true count table. A
+predicted label of -1 marks an outlier, which shares a cluster with no one:
+it adds no pair to the prediction's counts, but its row still counts in the
+ground truth's. The profiler wraps one distance + density-clustering pass and
+reports the exact pairwise-entry count (2 n^2 per pass), the analytic byte
+model (entries x 8), and median wall time.
 """
 
 from __future__ import annotations
@@ -43,29 +46,13 @@ def compute_map_cmc(query_emb: np.ndarray, gallery_emb: np.ndarray,
     missing = np.setdiff1d(query_ids, gallery_ids)
     if missing.size:
         raise ValueError(f"query identities absent from gallery: {missing[:5].tolist()}")
-    max_rank = min(MAX_RANK, ng)
-    dist = 1.0 - query_emb @ gallery_emb.T
-    aps = np.empty(nq)
-    cmc_hits = np.zeros(max_rank)
-    for qi in range(nq):
-        order = np.argsort(dist[qi], kind="stable")
-        rel = gallery_ids[order] == query_ids[qi]
-        ranks = np.flatnonzero(rel) + 1  # 1-based ranks of relevant items
-        hits = np.arange(1, ranks.size + 1)
-        aps[qi] = (hits / ranks).sum() / ranks.size
-        first = ranks[0]
-        if first <= max_rank:
-            cmc_hits[first - 1:] += 1.0
-    return float(aps.mean()), cmc_hits / nq
-
-
-def _outliers_to_singletons(labels: np.ndarray) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64).copy()
-    out = labels < 0
-    if out.any():
-        base = labels.max(initial=-1) + 1
-        labels[out] = base + np.arange(out.sum())
-    return labels
+    order = np.argsort(1.0 - query_emb @ gallery_emb.T, axis=1, kind="stable")
+    rel = gallery_ids[order] == query_ids[:, None]
+    # AP over each query's 1-based relevant ranks, one row sum per query
+    aps = [(np.arange(1, r.size + 1) / r).sum() / r.size
+           for r in (np.flatnonzero(row) + 1 for row in rel)]
+    first_hits = np.bincount(rel.argmax(axis=1), minlength=ng)
+    return float(np.mean(aps)), np.cumsum(first_hits[:min(MAX_RANK, ng)]) / nq
 
 
 def _comb2(x: np.ndarray) -> np.ndarray:
@@ -74,29 +61,32 @@ def _comb2(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_counts(pred: np.ndarray, true: np.ndarray):
-    """(pairs together in both, in pred, in true), read off the sparse pred x
-    true count table; scipy loads here, not at import."""
-    import scipy.sparse as sp
-    _, pi = np.unique(pred, return_inverse=True)
+    """(pairs together in both, in pred, in true), read off the pred x true
+    count table; a pred label of -1 pairs with no one. Every count is an
+    integer below 2**53, so each sum is exact in any order."""
     _, ti = np.unique(true, return_inverse=True)
-    c = sp.coo_matrix((np.ones(len(pred)), (pi, ti))).tocsr()
-    return (_comb2(c.data).sum(), _comb2(np.asarray(c.sum(axis=1)).ravel()).sum(),
-            _comb2(np.asarray(c.sum(axis=0)).ravel()).sum())
+    kept = pred >= 0
+    _, pi = np.unique(pred[kept], return_inverse=True)
+    _, cells = np.unique(pi * (ti.max(initial=0) + 1) + ti[kept], return_counts=True)
+    return (_comb2(cells).sum(), _comb2(np.bincount(pi)).sum(),
+            _comb2(np.bincount(ti)).sum())
 
 
 def clustering_quality(assignment: np.ndarray,
                        ground_truth: np.ndarray) -> tuple[float, float, float, float]:
-    """(pairwise precision, recall, F, ARI); label -1 becomes its own singleton."""
-    pred = _outliers_to_singletons(assignment)
+    """(pairwise precision, recall, F, ARI); label -1 is an outlier."""
+    pred = np.asarray(assignment, dtype=np.int64)
     true = np.asarray(ground_truth, dtype=np.int64)
     if pred.shape != true.shape:
         raise ValueError("assignment and ground truth must align")
     n = len(pred)
+    if n == 0:
+        raise ValueError("empty labeling")
     tp, same_pred, same_true = _pair_counts(pred, true)
     precision = tp / same_pred if same_pred > 0 else 1.0
     recall = tp / same_true if same_true > 0 else 1.0
     f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    total = _comb2(np.array([n]))[0]
+    total = n * (n - 1) / 2.0
     expected = same_pred * same_true / total if total > 0 else 0.0
     max_index = (same_pred + same_true) / 2.0
     denom = max_index - expected
@@ -109,12 +99,8 @@ def labeling_correct_fraction(labels: np.ndarray, ground_truth: np.ndarray) -> f
 
     Returns NaN when no labeled pair exists.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    true = np.asarray(ground_truth, dtype=np.int64)
-    kept = labels >= 0
-    if kept.sum() < 2:
-        return float("nan")
-    tp, same_pred, _ = _pair_counts(labels[kept], true[kept])
+    tp, same_pred, _ = _pair_counts(np.asarray(labels, dtype=np.int64),
+                                    np.asarray(ground_truth, dtype=np.int64))
     return float(tp / same_pred) if same_pred > 0 else float("nan")
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mcl.cluster import dbscan
-from mcl.data import GenSpec, generate_pool, read_features, write_features
+from mcl.data import GenSpec, generate_pool, load_pool, write_features
 from mcl.metrics import profile_clustering
 from mcl.model import EncoderParams, OptimizerState
 from mcl.protobank import PrototypeBank
@@ -234,7 +234,7 @@ def test_criterion_6_invariants(small_pool, tmp_path):
                                  d_raw=9, intra_class_sigma=0.4, seed=21))
     path = tmp_path / "roundtrip.mclf"
     write_features(pool, path)
-    checks["roundtrip"] = read_features(path) == pool
+    checks["roundtrip"] = load_pool(path) == pool
 
     # a fixed seed reproduces a whole run bit for bit
     cfg = TrainConfig(n_subsets=2, epochs=3, warmup_epochs=1, p_identities=4,

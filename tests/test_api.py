@@ -128,6 +128,26 @@ def test_eval_loads_no_scipy(tmp_path):
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_scoring_loads_no_scipy():
+    # every score in mcl.metrics is numpy alone: the pair counts come off one
+    # np.unique table, so scoring a labeling or a retrieval imports no scipy
+    code = ("import numpy as np\n"
+            "from mcl.data import GenSpec, generate_pool\n"
+            "from mcl.metrics import clustering_quality, compute_map_cmc, "
+            "labeling_correct_fraction\n"
+            f"pool = generate_pool({SMALL_SPEC!r})\n"
+            "x, ids = pool.features.astype(np.float64), pool.identities\n"
+            "x /= np.linalg.norm(x, axis=1, keepdims=True)\n"
+            "labels = np.where(np.arange(len(ids)) % 5 == 0, -1, ids // 2)\n"
+            "assert 0.0 < clustering_quality(labels, ids)[0] < 1.0\n"
+            "assert 0.0 < labeling_correct_fraction(labels, ids) < 1.0\n"
+            "query = np.arange(len(ids)) % 6 == 0\n"
+            "mean_ap, _ = compute_map_cmc(x[query], x[~query], ids[query],"
+            " ids[~query])\n"
+            "assert 0.0 < mean_ap <= 1.0\n" + SCIPY_LOADED)
+    assert json.loads(_fresh_python(code)) == []
+
+
 def test_first_clustering_pass_in_a_fresh_process():
     # scipy loads at the first pass; the labels must not depend on whether
     # this process imported it already

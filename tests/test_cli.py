@@ -14,8 +14,7 @@ import pytest
 
 from mcl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _resolve_config, \
     build_parser, main
-from mcl.data import GenSpec, Pool, generate_pool, load_pool, \
-    read_features, write_features
+from mcl.data import GenSpec, Pool, generate_pool, load_pool, write_features
 from mcl.metrics import compute_map_cmc
 from mcl.model import EncoderParams, load_checkpoint, save_checkpoint
 from mcl.trainer import NumericError, TrainConfig, holdout_split
@@ -52,7 +51,7 @@ class TestGen:
                      "--intra-class-sigma", "0.2", "--seed", "3",
                      "-o", str(out)])
         assert code == EXIT_OK
-        pool = read_features(out)
+        pool = load_pool(out)
         assert len(pool) == 24
         assert pool.d_raw == 8
 
@@ -79,7 +78,7 @@ class TestGen:
     def test_defaults_write_the_benchmark_pool(self, tmp_path):
         out = tmp_path / "p.mclf"
         assert main(["gen", "-o", str(out)]) == EXIT_OK
-        assert read_features(out) == generate_pool(GenSpec())
+        assert load_pool(out) == generate_pool(GenSpec())
 
     def test_invalid_spec_is_data_error(self, tmp_path):
         code = main(["gen", "--num-identities", "1",

@@ -16,7 +16,6 @@ from mcl.data import (
     TruncatedFileError,
     generate_pool,
     load_pool,
-    read_features,
     write_features,
 )
 from mcl.trainer import TrainConfig
@@ -114,7 +113,7 @@ class TestPool:
             Pool(np.zeros((3, 2), dtype=np.float32), np.zeros(2))
         with pytest.raises(ValueError):
             Pool(np.zeros((2, 2), dtype=np.float32), np.array([-1, 0]))
-        # write_features would write it and read_features refuse it
+        # write_features would write it and load_pool refuse it
         with pytest.raises(DimensionMismatchError, match="zero feature dimension"):
             Pool(np.zeros((3, 0), dtype=np.float32), np.zeros(3))
 
@@ -134,7 +133,7 @@ class TestMCLFRoundTrip:
         path = tmp_path_factory.mktemp("mclf") / "pool.mclf"
         if labels:
             write_features(pool, path)
-            back = read_features(path)
+            back = load_pool(path)
             assert back.features.tobytes() == pool.features.tobytes()
             assert np.array_equal(back.identities, pool.identities)
         else:  # the program writes labels; label-less files come from outside
@@ -143,7 +142,7 @@ class TestMCLFRoundTrip:
             # the flags are checked before the payload length
             with pytest.raises(FeatureFileError,
                                match=r"pool\.mclf: flags 0x0, need 0x1"):
-                read_features(path)
+                load_pool(path)
 
     @pytest.mark.parametrize("flags", [0x0003, 0x0002])
     def test_flags_other_than_labels_refused(self, tmp_path, small_pool, flags):
@@ -153,7 +152,7 @@ class TestMCLFRoundTrip:
         struct.pack_into("<H", data, 6, flags)
         path.write_bytes(bytes(data))
         with pytest.raises(FeatureFileError, match="flags"):
-            read_features(path)
+            load_pool(path)
 
     def test_identity_beyond_32_bits_is_refused(self, tmp_path):
         # the labels are stored as u32: 2**32 + 1 would read back as 1
@@ -167,13 +166,13 @@ class TestMCLFRoundTrip:
         path = tmp_path / "x.mclf"
         path.write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(BadMagicError):
-            read_features(path)
+            load_pool(path)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "x.mclf"
         path.write_bytes(b"MCLF\x01")
         with pytest.raises(TruncatedFileError):
-            read_features(path)
+            load_pool(path)
 
     def test_truncated_payload(self, tmp_path, small_pool):
         path = tmp_path / "x.mclf"
@@ -181,14 +180,14 @@ class TestMCLFRoundTrip:
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(TruncatedFileError):
-            read_features(path)
+            load_pool(path)
 
     def test_trailing_garbage(self, tmp_path, small_pool):
         path = tmp_path / "x.mclf"
         write_features(small_pool, path)
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FeatureFileError):
-            read_features(path)
+            load_pool(path)
 
     def test_unsupported_version(self, tmp_path, small_pool):
         path = tmp_path / "x.mclf"
@@ -197,7 +196,7 @@ class TestMCLFRoundTrip:
         data[4] = 9
         path.write_bytes(bytes(data))
         with pytest.raises(FeatureFileError):
-            read_features(path)
+            load_pool(path)
 
     def test_dimension_check(self, tmp_path):
         # Pool refuses zero width, so the program never writes such a file
@@ -206,7 +205,7 @@ class TestMCLFRoundTrip:
                          + np.zeros(3, dtype="<u4").tobytes())
         with pytest.raises(DimensionMismatchError,
                            match=r"x\.mclf: zero feature dimension"):
-            read_features(path)
+            load_pool(path)
 
 
 class TestLoadPool:

@@ -19,6 +19,7 @@ from .oracles import (
     average_precision,
     cmc_curve,
     outliers_to_singletons,
+    pair_counts,
     pairwise_quality,
 )
 
@@ -35,15 +36,21 @@ class TestMapCmc:
         assert np.allclose(cmc, 1.0)
 
     def test_matches_oracle_on_random_inputs(self, rng):
-        for trial in range(15):
+        # odd trials round the rows, tying many distances: ties keep gallery
+        # order, as the oracle's per-row stable sort does
+        for trial in range(30):
             nq = int(rng.integers(2, 8))
             ng = int(rng.integers(6, 25))
             q = unit_rows(rng, nq, 6)
             g = unit_rows(rng, ng, 6)
+            if trial % 2:
+                q, g = np.round(2 * q), np.round(2 * g)
             q_ids = rng.integers(0, 4, size=nq)
             g_ids = np.concatenate([np.arange(4), rng.integers(0, 4, size=ng - 4)])
             mean_ap, cmc = compute_map_cmc(q, g, q_ids, g_ids)
             dist = 1.0 - q @ g.T
+            if trial % 2:
+                assert np.unique(dist).size < dist.size  # the draw does tie
             want_aps = []
             want_cmc = np.zeros(min(MAX_RANK, ng))
             for i in range(nq):
@@ -51,7 +58,7 @@ class TestMapCmc:
                 want_aps.append(average_precision(dist[i], rel))
                 want_cmc += cmc_curve(dist[i], rel, min(MAX_RANK, ng))
             assert mean_ap == pytest.approx(np.mean(want_aps), abs=1e-12)
-            assert np.allclose(cmc, want_cmc / nq, atol=1e-12)
+            assert np.array_equal(cmc, want_cmc / nq)  # counts: exact
 
     def test_known_hand_case(self):
         # one query, relevant gallery items at ranks 2 and 4:
@@ -92,18 +99,25 @@ class TestMapCmc:
 
 class TestClusteringQuality:
     def test_matches_pair_oracle(self, rng):
-        for trial in range(20):
+        # every pair count is an integer, so each score equals the oracle's
+        # exactly: on small labels, on labels far apart, and on all outliers
+        for trial in range(60):
             n = int(rng.integers(4, 40))
             pred = rng.integers(-1, 4, size=n)
             true = rng.integers(0, 4, size=n)
+            if trial % 3 == 1:
+                pred = np.where(pred >= 0, pred * 1000 + 7, -1)
+                true = true * 1000 + 3
+            elif trial % 3 == 2:
+                pred = np.full(n, -1)
             got = clustering_quality(pred, true)
             pred_s = outliers_to_singletons(pred)
-            p, r, f = pairwise_quality(pred_s, true)
-            ari = adjusted_rand(pred_s, true)
-            assert got[0] == pytest.approx(p, abs=1e-12)
-            assert got[1] == pytest.approx(r, abs=1e-12)
-            assert got[2] == pytest.approx(f, abs=1e-12)
-            assert got[3] == pytest.approx(ari, abs=1e-12)
+            assert got[:3] == pairwise_quality(pred_s, true)
+            assert got[3] == adjusted_rand(pred_s, true)
+            kept = pred >= 0
+            if pair_counts(pred[kept], true[kept])[:2] != (0, 0):
+                assert labeling_correct_fraction(pred, true) == \
+                    pairwise_quality(pred[kept], true[kept])[0]
 
     def test_perfect_clustering(self):
         labels = np.array([0, 0, 1, 1, 2, 2])
@@ -127,7 +141,7 @@ class TestClusteringQuality:
             clustering_quality(np.zeros(3), np.zeros(4))
 
     def test_empty_labeling_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty labeling"):
             clustering_quality(np.zeros(0, dtype=np.int64),
                                np.zeros(0, dtype=np.int64))
 
