@@ -26,8 +26,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__
-from .data import _RULES, DimensionMismatchError, FeatureFileError, GenSpec, \
-    Pool, generate_pool, load_pool, write_features
+from .data import _RULES, DimensionMismatchError, GenSpec, Pool, \
+    generate_pool, load_pool, write_features
 from .model import EncoderParams, encode_batch, load_checkpoint, \
     save_checkpoint
 from .protobank import NoClustersError
@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FeatureFileError, NoClustersError, ValueError, OSError) as exc:
+    except (NoClustersError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # numpy names the array's shape and bytes

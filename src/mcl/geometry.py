@@ -56,17 +56,9 @@ def _map_row_blocks(fn, n: int) -> list:
 
 
 class EntryCounter:
-    """Running count of the pairwise distance entries evaluated."""
+    """Running count of the pairwise distance entries evaluated, in `total`."""
 
-    def __init__(self) -> None:
-        self._total = 0
-
-    def add(self, entries: int) -> None:
-        self._total += int(entries)
-
-    @property
-    def total(self) -> int:
-        return self._total
+    total = 0
 
 
 ENTRY_COUNTER = EntryCounter()
@@ -99,7 +91,7 @@ def pairwise_cosine_distance(embeddings: np.ndarray) -> np.ndarray:
     d *= -1.0
     d += 1.0
     np.fill_diagonal(d, 0.0)
-    ENTRY_COUNTER.add(d.shape[0] * d.shape[0])
+    ENTRY_COUNTER.total += d.shape[0] * d.shape[0]
     return d
 
 
@@ -166,7 +158,7 @@ def jaccard_distance(sets, out=None) -> np.ndarray:
         out[rows, c] = 1.0 - both / (sizes[rows] + sizes[c] - both)
 
     _map_row_blocks(fill, n)
-    ENTRY_COUNTER.add(n * n)
+    ENTRY_COUNTER.total += n * n
     return out
 
 
@@ -250,5 +242,5 @@ def clustering_distance(embeddings: np.ndarray, k: int) -> np.ndarray:
     # fails before the kNN work; the selection works in it, then the result
     out = np.empty((e.shape[0], e.shape[0]))
     lists = _cosine_knn(e, k, out)
-    ENTRY_COUNTER.add(e.shape[0] ** 2)
+    ENTRY_COUNTER.total += e.shape[0] ** 2
     return jaccard_distance(k_reciprocal_sets(lists), out)

@@ -17,6 +17,13 @@ class NoClustersError(RuntimeError):
     """Clustering produced zero classes; there is nothing to train against."""
 
 
+def _class_sums(embeddings: np.ndarray, labels: np.ndarray, k: int):
+    """Per-class embedding sums and float row counts over class ids 0..k-1."""
+    sums = np.zeros((k, embeddings.shape[1]))
+    np.add.at(sums, labels, embeddings)
+    return sums, np.bincount(labels, minlength=k).astype(np.float64)
+
+
 class PrototypeBank:
     """K x d prototype rows in an array of the bank's own, scaled to unit norm
     by normalize_rows on construction and after every momentum update."""
@@ -47,11 +54,7 @@ class PrototypeBank:
         kept = labels >= 0
         if not kept.any():
             raise NoClustersError("all samples are outliers")
-        num_k = int(labels[kept].max()) + 1
-        w = np.zeros((num_k, embeddings.shape[1]))
-        counts = np.zeros(num_k)
-        np.add.at(w, labels[kept], embeddings[kept])
-        np.add.at(counts, labels[kept], 1.0)
+        w, counts = _class_sums(embeddings[kept], labels[kept], labels.max() + 1)
         if counts.min() == 0:
             raise ValueError("cluster ids must be contiguous from 0")
         w /= counts[:, None]
@@ -66,10 +69,7 @@ class PrototypeBank:
         labels = np.asarray(labels)
         if labels.min(initial=0) < 0 or labels.max(initial=-1) >= self.num_classes:
             raise ValueError("momentum update labels out of range")
-        sums = np.zeros_like(self.weights)
-        counts = np.zeros(self.num_classes)
-        np.add.at(sums, labels, embeddings)
-        np.add.at(counts, labels, 1.0)
+        sums, counts = _class_sums(embeddings, labels, self.num_classes)
         present = counts > 0
         m = self.momentum
         upd = m * self.weights[present] + (1.0 - m) * (sums[present] / counts[present, None])

@@ -228,7 +228,8 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
                      opt: OptimizerState, config: TrainConfig,
                      rng: np.random.Generator,
                      regime: str = "mcl") -> Phase2Stats:
-    """Annotate the rest subsets with hardened prototype labels, then polish.
+    """Annotate the rest subsets with hardened prototype labels, all rows in
+    one pass, then polish.
 
     Identity = (subset, argmax) realized as argmax + subset offset, so two
     samples from different subsets never count as positives, except under
@@ -239,15 +240,12 @@ def run_phase2_epoch(pool_features: np.ndarray, rest_subsets: list[np.ndarray],
     a warning, under a one-prototype bank; "no_sc" drops the consistency term.
     """
     k_classes = bank.num_classes
-    positions, ids = [], []
-    for j, sub in enumerate(rest_subsets):
-        emb = encode_batch(params, pool_features[sub])
-        hard = bank.harden(bank.soft_label_batch(emb))
-        offset = 0 if regime == "shared" else j * k_classes
-        positions.append(sub)
-        ids.append(hard + offset)
-    positions = np.concatenate(positions)
-    ids = np.concatenate(ids)
+    positions = np.concatenate(rest_subsets)
+    ids = bank.harden(bank.soft_label_batch(
+        encode_batch(params, pool_features[positions])))
+    if regime != "shared":
+        ids += np.repeat(np.arange(len(rest_subsets)) * k_classes,
+                         [sub.size for sub in rest_subsets])
 
     if k_classes < 2:
         warnings.warn("phase 2 with a single prototype: triplet term skipped")
@@ -379,33 +377,35 @@ def evaluate(params: EncoderParams | None, pool: Pool, query_pos: np.ndarray,
                            pool.identities[gallery_pos])
 
 
-def _check_regime(pool: Pool, config: TrainConfig, regime: str) -> None:
+def _check_regime(pool: Pool, config: TrainConfig, regime: str) -> TrainConfig:
     """The rules a regime sets on a config and pool; train and each verb
-    check them before any work."""
+    check them before any work. Returns the config that runs: "all"
+    clusters the whole pool, so its N is 1."""
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
     if regime == "naive" and config.n_subsets > config.epochs:
         # each fixed subset gets a stage of at least one epoch
         raise ValueError(f"the naive regime needs n_subsets <= epochs, got "
                          f"n_subsets {config.n_subsets} > epochs {config.epochs}")
-    n_subsets = 1 if regime == "all" else config.n_subsets
+    if regime == "all":  # one subset: the report records the N that ran
+        config = replace(config, n_subsets=1)
     n_train = holdout_split(pool, config.holdout_fraction)[0].size
-    if config.p_identities * config.i_instances > math.ceil(n_train / n_subsets):
+    if config.p_identities * config.i_instances > math.ceil(
+            n_train / config.n_subsets):
         raise ValueError(f"phase-1 batch larger than {n_train} train rows / "
-                         f"n_subsets {n_subsets} (p_identities x i_instances)")
+                         f"n_subsets {config.n_subsets} "
+                         "(p_identities x i_instances)")
+    return config
 
 
 def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
           ) -> tuple[EncoderParams, TrainReport]:
-    _check_regime(pool, config, regime)
-    if regime == "all":  # one subset: the report records the N that ran
-        config = replace(config, n_subsets=1)
+    config = _check_regime(pool, config, regime)
 
     train_pos, query_pos, gallery_pos = holdout_split(pool, config.holdout_fraction)
     features = pool.features[train_pos].astype(np.float64)
     true_ids = pool.identities[train_pos]
     n = features.shape[0]
-    fixed_subsets = epoch_split(n, config.n_subsets, config.seed)
 
     init_rng = np.random.default_rng([config.seed, 0])
     params = EncoderParams.random_init(pool.d_raw, config.d_hidden,
@@ -428,15 +428,11 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
         rng1 = np.random.default_rng([config.seed, 1, epoch])
         rng2 = np.random.default_rng([config.seed, 2, epoch])
 
-        if regime == "naive":
-            x1 = fixed_subsets[stage_of_epoch[epoch]]
-            rest: list[np.ndarray] = []
-        else:
-            if regime in ("all", "fixed"):
-                subsets = fixed_subsets
-            else:
-                subsets = epoch_split(n, config.n_subsets, config.seed + epoch)
-            x1, rest = subsets[0], subsets[1:]
+        fixed = regime in ("all", "fixed", "naive")  # one split for the run
+        subsets = epoch_split(n, config.n_subsets,
+                              config.seed if fixed else config.seed + epoch)
+        x1, rest = ((subsets[stage_of_epoch[epoch]], []) if regime == "naive"
+                    else (subsets[0], subsets[1:]))
 
         labels_full = np.full(n, -1, dtype=np.int64)
         try:
@@ -461,8 +457,8 @@ def train(pool: Pool, config: TrainConfig, regime: str = "mcl"
             num_clusters=p1.assignment.num_clusters,
             num_outliers=p1.assignment.num_outliers,
             eps_used=p1.eps_used,
-            phase1_loss=float(np.mean(p1.losses)) if p1.losses else float("nan"),
-            phase2_loss=float(np.mean(p2.losses)) if p2 and p2.losses else float("nan"),
+            phase1_loss=float(np.mean(p1.losses)),
+            phase2_loss=float(np.mean(p2.losses)) if p2 else float("nan"),
             triplet_skipped=p2.triplet_skipped if p2 else 0,
             mean_ap=mean_ap,
             rank1=float(cmc[0]),

@@ -97,6 +97,18 @@ def pk_sample_reference(labels, p, i, rng):
     return np.concatenate(picks)
 
 
+def phase2_labels_reference(embed, bank, features, rest_subsets, shared):
+    """Phase-2 positions and hardened ids by one encode -> soft label ->
+    harden pass per rest subset, subset j's ids offset by j x K unless
+    shared; `embed` maps raw rows to unit embeddings."""
+    positions, ids = [], []
+    for j, sub in enumerate(rest_subsets):
+        hard = bank.harden(bank.soft_label_batch(embed(features[sub])))
+        positions.append(sub)
+        ids.append(hard + (0 if shared else j * bank.num_classes))
+    return np.concatenate(positions), np.concatenate(ids)
+
+
 def holdout_split_reference(ids, holdout_fraction):
     """Train, query and gallery positions by a loop over the identities:
     the top fraction of the distinct ids is held out (none at 0, where the

@@ -31,7 +31,8 @@ from mcl.trainer import (
 )
 
 from .conftest import unit_rows
-from .oracles import holdout_split_reference, pk_sample_reference
+from .oracles import holdout_split_reference, phase2_labels_reference, \
+    pk_sample_reference
 
 
 def _fast_config(**overrides):
@@ -328,6 +329,25 @@ class TestPhase2:
                                  np.random.default_rng(2), "shared")
         assert np.all((stats.hardened >= 0) & (stats.hardened < 3))
 
+    @pytest.mark.parametrize("regime", ["mcl", "shared"])
+    @pytest.mark.parametrize("n_subsets", [3, 4])
+    def test_one_pass_labels_as_the_per_subset_loop(self, rng, n_subsets,
+                                                    regime):
+        cfg = _fast_config(p2_identities=2, i2_instances=2)
+        bank, params, opt = self._setup(rng, k=3, d=6)
+        feats = rng.standard_normal((42, 6))
+        rest = epoch_split(42, n_subsets, 5)[1:]  # 11, 10, 10 rows at N = 4
+        before = EncoderParams(**{name: t.copy() for name, t in params.tensors()})
+        stats = run_phase2_epoch(feats, rest, bank, params, opt, cfg,
+                                 np.random.default_rng(2), regime)
+        positions, hardened = phase2_labels_reference(
+            lambda x: encode_batch(before, x), bank, feats, rest,
+            shared=regime == "shared")
+        for got, want in [(stats.positions, positions),
+                          (stats.hardened, hardened)]:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_single_prototype_skips_triplet_with_warning(self, rng):
         cfg = _fast_config(p2_identities=2, i2_instances=2)
         bank = PrototypeBank(unit_rows(rng, 1, 6))
@@ -574,6 +594,15 @@ class TestTrain:
         assert any(a.tobytes() != b.tobytes() for (_, a), (_, b)
                    in zip(full.tensors(), ablated.tensors()))
 
+    def test_shared_at_two_subsets_trains_as_mcl(self, small_pool):
+        # one rest subset takes offset 0 either way: FROZEN_MAP pins both
+        # regimes to the same mAP
+        cfg = _fast_config()
+        got = train(small_pool, cfg, regime="shared")[0]
+        want = train(small_pool, cfg, regime="mcl")[0]
+        for (name, a), (_, b) in zip(got.tensors(), want.tensors()):
+            assert a.tobytes() == b.tobytes(), name
+
     def test_invalid_regime_rejected(self, small_pool):
         with pytest.raises(ValueError, match="regime"):
             train(small_pool, _fast_config(), regime="bogus")
@@ -595,8 +624,10 @@ class TestTrain:
         # batch, N = 8 only 14; "all" clusters all 108 whatever N says
         with pytest.raises(ValueError, match="phase-1 batch"):
             _check_regime(small_pool, _fast_config(n_subsets=8), "mcl")
-        _check_regime(small_pool, _fast_config(n_subsets=8), "all")
-        _check_regime(small_pool, _fast_config(n_subsets=7), "mcl")
+        assert _check_regime(small_pool, _fast_config(n_subsets=8),
+                             "all").n_subsets == 1
+        cfg = _fast_config(n_subsets=7)
+        assert _check_regime(small_pool, cfg, "mcl") == cfg
 
     def test_more_subsets_than_samples_rejected(self, small_pool):
         with pytest.raises(ValueError, match="n_subsets"):
